@@ -986,11 +986,9 @@ func BenchmarkFusedClassify(b *testing.B) {
 
 // BenchmarkBytesPerVerdict measures the shard-plane wire cost of a
 // classify batch per verdict, straight off the lineconn byte counters:
-// the protocol-v2 packed encoding (ProtocolCap: 2 emulates an old
-// server build), the protocol-v3 delta-packed encoding, and the
-// protocol-v4 dictionary wire (references for recurring fingerprints,
-// with and without framed flate on top). The gaps are the
-// batch-compaction and cross-request-compression payoffs the
+// the packed encoding (WireOff) and the dictionary wire (references for
+// recurring fingerprints, with and without framed flate on top). The
+// gaps are the cross-request-compression payoffs the
 // distributed/replicated experiments report as bytes/verdict in
 // BENCH_ci.json.
 func BenchmarkBytesPerVerdict(b *testing.B) {
@@ -998,16 +996,14 @@ func BenchmarkBytesPerVerdict(b *testing.B) {
 	sb := getShardedBank(b, 2)
 	for _, tc := range []struct {
 		name string
-		cap  int
 		wire iotssp.WireMode
 	}{
-		{name: "packed-v2", cap: 2},
-		{name: "delta-v3"}, // cap 0 = serve the current protocol
+		{name: "packed", wire: iotssp.WireOff},
 		{name: "dict-v4", wire: iotssp.WireDict},
 		{name: "dict+flate-v4", wire: iotssp.WireDictFlate},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			replica := iotssp.NewShardReplica(sb.Shard(1).(*core.Bank), iotssp.ServerConfig{ProtocolCap: tc.cap})
+			replica := iotssp.NewShardReplica(sb.Shard(1).(*core.Bank), iotssp.ServerConfig{})
 			if err := replica.Start(); err != nil {
 				b.Fatal(err)
 			}
@@ -1041,10 +1037,10 @@ func BenchmarkBytesPerVerdict(b *testing.B) {
 	}
 }
 
-// BenchmarkDictClassify measures the v4 dictionary codec itself — a
+// BenchmarkDictClassify measures the dictionary codec itself — a
 // client/server Dict pair packing and unpacking a recurring classify
-// batch — against the v3 delta codec re-packing every fingerprint in
-// full. The per-entry byte sizes land next to the CPU cost: the
+// batch — against the delta codec (the dictionary's full-entry form)
+// re-packing every fingerprint in full. The per-entry byte sizes land next to the CPU cost: the
 // dictionary trades a hash lookup for shipping ~12 bytes instead of a
 // whole packed F matrix.
 func BenchmarkDictClassify(b *testing.B) {
@@ -1073,7 +1069,7 @@ func BenchmarkDictClassify(b *testing.B) {
 		}
 		b.ReportMetric(float64(entryBytes)/float64(len(probes)), "bytes/fp")
 	})
-	b.Run("delta-v3", func(b *testing.B) {
+	b.Run("delta", func(b *testing.B) {
 		var entryBytes int
 		b.ReportAllocs()
 		b.ResetTimer()

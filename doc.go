@@ -69,41 +69,40 @@
 //
 // Every wire client rides one transport. internal/lineconn owns the
 // pipelined line-correlated connection that gateway.Pool (and so
-// FleetPool), iotssp.RemoteShard, iotssp.ShardGroup and the legacy
-// iotssp.Client all used to hand-roll: request lines are counted per
-// connection, responses correlate to waiters by the server's line echo,
-// a generation guard keeps responses buffered from a severed connection
-// from resolving waiters on its replacement, and any transport failure
-// fails every pending waiter fast and redials lazily. Protocols with an
-// opening negotiation (the shard hello) plug in through a handshake
-// hook that owns line 1 of every fresh connection. The transport
-// exposes one canonical counter block — dials, reconnects, bursts,
-// dropped correlations — surfaced verbatim through PoolStats,
-// RemoteShardStats and ShardGroupStats into the experiments' metrics
-// snapshot, and one Retry policy drives every client's jittered
-// exponential backoff from the shared internal/backoff source.
+// FleetPool), iotssp.RemoteShard and iotssp.ShardGroup share: request
+// lines are counted per connection, responses correlate to waiters by
+// the server's line echo, a generation guard keeps responses buffered
+// from a severed connection from resolving waiters on its replacement,
+// and any transport failure fails every pending waiter fast and redials
+// lazily. Protocols with an opening negotiation (the shard hello) plug
+// in through a handshake hook that owns line 1 of every fresh
+// connection. The transport exposes one canonical counter block —
+// dials, reconnects, bursts, dropped correlations — surfaced verbatim
+// through PoolStats, RemoteShardStats and ShardGroupStats into the
+// experiments' metrics snapshot, and one Retry policy drives every
+// client's jittered exponential backoff from the shared
+// internal/backoff source.
 //
 // The bank's shards themselves cross process boundaries. core.Shard
 // abstracts one partition of the logical bank
 // (ClassifyBatch/Discriminate/Enroll/Version/Types); the in-process
 // core.Bank satisfies it directly, and iotssp.RemoteShard satisfies it
-// over an extended IoTSSP wire protocol (protocol v2: hello negotiation
-// plus classify/discriminate/enroll/meta verbs carrying packed F
-// matrices) against a shard-serving iotssp.Server — so one logical
-// core.ShardedBank spans machines while scatter/gather, least-loaded
-// enroll routing and per-shard cache versioning work unchanged. Remote
-// version bumps ride every shard response into the client's cached
-// version vector, driving the same shard-scoped cache invalidation as
-// a local enrolment; reconnect/retry with jittered backoff carries
-// requests across a shard-server restart. Gateways stream too:
-// gateway.Pool.IdentifyBatch sends queued captures as one pipelined
-// burst per connection, and the gateway's identifier workers drain
-// their queue into such bursts. The distributed experiment
-// (experiments.RunDistributed, sentinel-eval -experiment distributed)
-// asserts the mixed local/remote bank is bit-equal to the all-local
-// baseline, survives a mid-run remote-shard restart with zero lost
-// verdicts, and invalidates exactly the dependent cache entries on a
-// remote enrolment.
+// over the IoTSSP wire protocol's shard verbs (hello plus
+// classify/discriminate/enroll/meta carrying packed F matrices) against
+// a shard-serving iotssp.Server — so one logical core.ShardedBank spans
+// machines while scatter/gather, least-loaded enroll routing and
+// per-shard cache versioning work unchanged. Remote version bumps ride
+// every shard response into the client's cached version vector, driving
+// the same shard-scoped cache invalidation as a local enrolment;
+// reconnect/retry with jittered backoff carries requests across a
+// shard-server restart. Gateways stream too: gateway.Pool.IdentifyBatch
+// sends queued captures as one pipelined burst per connection, and the
+// gateway's identifier workers drain their queue into such bursts. The
+// distributed experiment (experiments.RunDistributed, sentinel-eval
+// -experiment distributed) asserts the mixed local/remote bank is
+// bit-equal to the all-local baseline, survives a mid-run remote-shard
+// restart with zero lost verdicts, and invalidates exactly the
+// dependent cache entries on a remote enrolment.
 //
 // Remote shards replicate. iotssp.ShardGroup serves one partition from
 // N identically trained shard servers behind a single health-aware
@@ -124,36 +123,36 @@
 //
 // The serving topology is owned by a control plane. A
 // controlplane.Topology is a declarative spec — partitions of the
-// device-type universe, each local or remote with a replica count —
-// and controlplane.Assemble turns it plus a training set into a
-// running Cluster: trained partition banks behind shard replicas,
-// RemoteShard clients or ShardGroups, one logical ShardedBank, and the
-// verdict frontends. Every managed piece satisfies the same Component
-// contract (Stats() json.RawMessage, Healthy() bool, Close() error),
-// so cluster health is a conjunction and metrics snapshots are a
-// uniform []stats.Snapshot of tagged counter blocks rather than
-// per-kind struct fields. Topology changes are staged rollouts that
-// never drop a verdict: MigrateType relocates a device-type through
-// train-on-target, health-gate, flip-route (ShardedBank.SetOwner keeps
-// the type's global enrolment position) and drain-source, whose single
-// version bump invalidates exactly the dependent cached verdicts once;
-// ReplaceMember rolls a ShardGroup member by minting a bit-identical
-// replacement — by default a state-transfer snapshot from a live
-// member, falling back to replaying the partition's recorded enrolment
-// history when a peer predates the snapshot verbs — gating it on the
-// group's served types and reconciled version before the old member
-// detaches. Constructors across the stack are uniform —
-// iotssp.NewServer(svc, ServerConfig) and iotssp.NewService(bank,
-// ServiceConfig) subsume the former config-less/cache variants — and
-// the layer configs carry intention-revealing aliases
-// (core.BankConfig, gateway.GatewayConfig, dataplane.PipelineConfig)
-// so call sites composing several layers stay readable. The rebalance
-// experiment (experiments.RunRebalance, sentinel-eval -experiment
-// rebalance) drills a live mid-run rebalance: two type migrations and
-// a rolling member replacement under load, zero lost verdicts, every
-// verdict bit-equal to the initial- or final-topology baseline, p99
-// within 2x of the steady run (GOMAXPROCS-gated), and the
-// counter-verified exactly-once invalidation audit.
+// device-type universe, each local or remote with a replica count — and
+// controlplane.Assemble turns it plus a training set into a running
+// Cluster: trained partition banks behind shard replicas, RemoteShard
+// clients or ShardGroups, one logical ShardedBank, and the verdict
+// frontends. Every managed piece satisfies the same Component contract
+// (Stats() json.RawMessage, Healthy() bool, Close() error), so cluster
+// health is a conjunction and metrics snapshots are a uniform
+// []stats.Snapshot of tagged counter blocks rather than per-kind struct
+// fields. Topology changes are staged rollouts that never drop a
+// verdict: MigrateType relocates a device-type through train-on-target,
+// health-gate, flip-route (ShardedBank.SetOwner keeps the type's global
+// enrolment position) and drain-source, whose single version bump
+// invalidates exactly the dependent cached verdicts once; ReplaceMember
+// rolls a ShardGroup member by minting a bit-identical replacement — by
+// default a state-transfer snapshot from a live member, falling back to
+// replaying the partition's recorded enrolment history when the
+// transfer fails — gating it on the group's served types and reconciled
+// version before the old member detaches. Constructors across the stack
+// are uniform — iotssp.NewServer(svc, ServerConfig) and
+// iotssp.NewService(bank, ServiceConfig) subsume the former
+// config-less/cache variants — and the layer configs carry
+// intention-revealing aliases (core.BankConfig, gateway.GatewayConfig,
+// dataplane.PipelineConfig) so call sites composing several layers stay
+// readable. The rebalance experiment (experiments.RunRebalance,
+// sentinel-eval -experiment rebalance) drills a live mid-run rebalance:
+// two type migrations and a rolling member replacement under load, zero
+// lost verdicts, every verdict bit-equal to the initial- or
+// final-topology baseline, p99 within 2x of the steady run
+// (GOMAXPROCS-gated), and the counter-verified exactly-once
+// invalidation audit.
 //
 // Trained forests are compact, serializable state. The flattened
 // serving layout optionally quantizes (ml.FlatConfig: float32
@@ -165,47 +164,45 @@
 // (core.SnapshotsEqual): restore rejects config mismatches and
 // truncation, never disturbs state on error, and restored banks enroll
 // future types bit-identically to the original (per-enrolment derived
-// training seeds). The wire rides it as protocol v3: OpSnapshot/
-// OpRestore state transfer, delta-packed classify batches, and a
-// hello-negotiated subscription under which shard servers push OpDelta
-// version bumps to fronts — version caches and shard-scoped cache
-// invalidation move with zero polling round-trips, old peers degrade
-// to the v2 wire cost. The control plane mints ShardGroup replacement
-// members by snapshot transfer instead of replay (MintStrategy;
-// RepairMember replays a diverged member's missing types back in), the
-// transports count bytes on the wire (lineconn.Stats.BytesWritten/
-// BytesRead), and the serving experiments report measured
-// bytes/verdict (MetricsSnapshot.ComputeBytesPerVerdict) —
-// BenchmarkSnapshotMint, BenchmarkQuantizedClassify and
-// BenchmarkBytesPerVerdict hold the regression line in BENCH_ci.json,
-// and a CI fuzz-smoke job hammers every serialization codec's decoder
-// with corrupt bytes.
+// training seeds). The wire carries it as OpSnapshot/OpRestore state
+// transfer, and shard servers push OpDelta version bumps to every
+// connection that said hello — version caches and shard-scoped cache
+// invalidation move with zero polling round-trips. The control plane
+// mints ShardGroup replacement members by snapshot transfer instead of
+// replay (MintStrategy; RepairMember replays a diverged member's
+// missing types back in), the transports count bytes on the wire
+// (lineconn.Stats.BytesWritten/ BytesRead), and the serving experiments
+// report measured bytes/verdict
+// (MetricsSnapshot.ComputeBytesPerVerdict) — BenchmarkSnapshotMint,
+// BenchmarkQuantizedClassify and BenchmarkBytesPerVerdict hold the
+// regression line in BENCH_ci.json, and a CI fuzz-smoke job hammers
+// every serialization codec's decoder with corrupt bytes.
 //
-// Protocol v4 makes the wire itself stateful to exploit cross-request
-// redundancy: a fleet's recurring device models submit near-identical
-// F matrices, so each client connection hello-negotiates a
-// per-connection fingerprint dictionary (fingerprint.Dict — recurring
-// matrices travel as 12-byte content-hash references or near-match
-// diffs instead of full packed rows, with LRU eviction and
-// transactional commit so only written lines mutate the pair),
-// per-direction device-type name interning, and optionally framed
-// flate transport compression (lineconn.FrameReader/FrameWriter) on
-// top. Dictionary generation equals connection incarnation: any decode
-// failure answers a non-retryable error and severs, both ends rebuild
-// empty, so reconnects — including mid-run shard kills and control
-// plane member rolls — can never decode against state the peer no
-// longer holds, and v3-or-older peers negotiate the whole layer off.
-// iotssp.WireMode threads the ask through gateway.Pool/FleetPool,
-// RemoteShard and ShardGroup (whose failover re-encodes per member
-// connection); the distributed and replicated experiments replay a
-// wire-off twin phase, assert bit-equal verdicts, and fail unless the
-// measured steady-state bytes/verdict gain reaches 5x (sentinel-eval
-// -wire dict|dict+flate, -min-wire-gain; handshake, push and
-// state-transfer bytes are carved out so the gain is steady-state
-// classify cost, not amortized setup). BenchmarkDictClassify and the
-// dict-v4 BytesPerVerdict cases hold the codec's line in
-// BENCH_ci.json, and FuzzUnpackRef/FuzzFrameRead smoke the new
-// decoders.
+// The wire itself is stateful to exploit cross-request redundancy: a
+// fleet's recurring device models submit near-identical F matrices, so
+// each client connection hello-negotiates a per-connection fingerprint
+// dictionary (fingerprint.Dict — recurring matrices travel as 12-byte
+// content-hash references or near-match diffs instead of full packed
+// rows, with LRU eviction and transactional commit so only written
+// lines mutate the pair), per-direction device-type name interning, and
+// optionally framed flate transport compression
+// (lineconn.FrameReader/FrameWriter) on top. Dictionary generation
+// equals connection incarnation: any decode failure answers a
+// non-retryable error and severs, both ends rebuild empty, so
+// reconnects — including mid-run shard kills and control plane member
+// rolls — can never decode against state the peer no longer holds. The
+// package serves exactly one protocol generation: a hello reply
+// announcing any other version fails the client's dial. iotssp.WireMode
+// threads the ask through gateway.Pool/FleetPool, RemoteShard and
+// ShardGroup (whose failover re-encodes per member connection); the
+// distributed and replicated experiments replay a wire-off twin phase,
+// assert bit-equal verdicts, and fail unless the measured steady-state
+// bytes/verdict gain reaches 5x (sentinel-eval -wire dict|dict+flate,
+// -min-wire-gain; handshake, push and state-transfer bytes are carved
+// out so the gain is steady-state classify cost, not amortized setup).
+// BenchmarkDictClassify and the dict-v4 BytesPerVerdict cases hold the
+// codec's line in BENCH_ci.json, and FuzzUnpackRef/FuzzFrameRead smoke
+// the new decoders.
 //
 // Stage one is a fused classification engine. Instead of answering a
 // batch one forest at a time — T sequential goroutine fan-outs, each

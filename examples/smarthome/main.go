@@ -63,9 +63,9 @@ func main() {
 		Filtering: true,
 		PSKSeed:   11,
 	}
-	// The TCP client satisfies the gateway's Identifier interface
+	// The pooled TCP client satisfies the gateway's Identifier interface
 	// directly: fingerprints travel to the IoTSSP over a real socket.
-	client := iotssp.NewClient(lis.Addr().String())
+	client := gateway.NewPool(lis.Addr().String(), gateway.PoolConfig{Conns: 1})
 	defer client.Close()
 	gw := gateway.New(gwCfg, client)
 

@@ -214,27 +214,6 @@ func (b *Bank) ClassifyMatrix(m *ml.SampleMatrix, workers int) [][]string {
 	return accepted
 }
 
-// ClassifyBatchFixed runs stage one only, over a batch of precomputed
-// fixed-size fingerprints (as returned by Fingerprint.FixedN with the
-// bank's FixedPackets): accepted[i] lists the device-types whose
-// classifier accepts fixed[i], in this bank's enrolment order.
-// workers <= 0 selects GOMAXPROCS.
-func (b *Bank) ClassifyBatchFixed(fixed [][]float64, workers int) [][]string {
-	scr := classifyScratchPool.Get().(*classifyScratch)
-	scr.m.Reset(len(fixed), b.cfg.FixedPackets*features.NumFeatures)
-	for i, x := range fixed {
-		scr.m.SetRow(i, x)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	b.rw.RLock()
-	accepted := b.classifyMatrixLocked(&scr.m, scr, workers)
-	b.rw.RUnlock()
-	classifyScratchPool.Put(scr)
-	return accepted
-}
-
 // ClassifyBatch runs stage one only, over a batch of full fingerprints:
 // the bank computes each fingerprint's fixed-size form itself (into the
 // pooled matrix) and accepted[i] lists the device-types whose
@@ -258,7 +237,7 @@ func (b *Bank) ClassifyBatch(fps []*fingerprint.Fingerprint, workers int) [][]st
 }
 
 // ClassifyBatchOracle is the per-forest reference implementation of
-// ClassifyBatchFixed: one forest at a time over the whole batch through
+// ClassifyMatrix: one forest at a time over the whole batch through
 // Forest.PredictProbBatch, exactly the pre-fusion stage one. Kept as
 // the bit-equality oracle (and benchmark baseline) for the fused
 // engine; not a serving path.

@@ -701,12 +701,6 @@ func (b *Bank) DistanceComputations(candidates []string) int {
 	return total
 }
 
-// IdentifyVectors is a convenience wrapper identifying a raw feature
-// vector sequence (it builds the fingerprint first).
-func (b *Bank) IdentifyVectors(vs []features.Vector) Result {
-	return b.Identify(fingerprint.FromVectors(vs))
-}
-
 // IdentifyEditOnly identifies a fingerprint by edit distance alone,
 // skipping the classifier stage and scoring F against references of
 // every enrolled type. The paper notes this works but is "far more time

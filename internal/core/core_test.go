@@ -145,7 +145,7 @@ func TestUnknownTypeRejectedByAll(t *testing.T) {
 		v[features.DstPortClass] = 1
 		vs = append(vs, v)
 	}
-	res := b.IdentifyVectors(vs)
+	res := b.Identify(fingerprint.FromVectors(vs))
 	if res.Known {
 		t.Errorf("out-of-distribution fingerprint identified as %s (accepted %v)", res.Type, res.Accepted)
 	}
@@ -373,14 +373,14 @@ func TestStageString(t *testing.T) {
 	}
 }
 
-func TestIdentifyVectors(t *testing.T) {
+func TestIdentifyFromVectors(t *testing.T) {
 	seeds := map[string]int64{"camA": 100, "plugB": 200, "hubC": 300}
 	b, test := trainedBank(t, seeds, 15)
 	f := test["camA"][0]
 	r1 := b.Identify(f)
-	r2 := b.IdentifyVectors(f.Vectors())
+	r2 := b.Identify(fingerprint.FromVectors(f.Vectors()))
 	if r1.Known != r2.Known || r1.Type != r2.Type {
-		t.Errorf("IdentifyVectors disagrees with Identify: %+v vs %+v", r1, r2)
+		t.Errorf("identifying the rebuilt vector sequence disagrees with Identify: %+v vs %+v", r1, r2)
 	}
 }
 

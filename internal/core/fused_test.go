@@ -39,6 +39,17 @@ func fusedFixture(t *testing.T, mutate func(*Config)) (*Bank, [][]float64) {
 	return b, fixed
 }
 
+// matrixOf packs fixed-size probes into a sample matrix for the
+// ClassifyMatrix entry point.
+func matrixOf(fixed [][]float64) *ml.SampleMatrix {
+	m := new(ml.SampleMatrix)
+	m.Reset(len(fixed), fingerprint.FixedPackets*features.NumFeatures)
+	for i, x := range fixed {
+		m.SetRow(i, x)
+	}
+	return m
+}
+
 // TestFusedClassifyMatchesOracle is the bank-level bit-equality
 // property: across layout precision, leaf caps and accept thresholds,
 // the fused stage one (single and batch, any worker count) must return
@@ -75,8 +86,9 @@ func TestFusedClassifyMatchesOracle(t *testing.T) {
 				t.Fatal("no probe was accepted by any classifier; equivalence test is vacuous")
 			}
 			wantBatch := b.ClassifyBatchOracle(fixed, 0)
+			m := matrixOf(fixed)
 			for _, workers := range []int{0, 1, 3, 8} {
-				if got := b.ClassifyBatchFixed(fixed, workers); !reflect.DeepEqual(got, wantBatch) {
+				if got := b.ClassifyMatrix(m, workers); !reflect.DeepEqual(got, wantBatch) {
 					t.Errorf("workers=%d: batch fused %v, oracle %v", workers, got, wantBatch)
 				}
 			}
@@ -169,7 +181,7 @@ func TestFusedSurvivesRemoveAndRestore(t *testing.T) {
 func TestClassifyStatsCounts(t *testing.T) {
 	b, fixed := fusedFixture(t, func(*Config) {})
 	before := b.ClassifyStats()
-	b.ClassifyBatchFixed(fixed, 0)
+	b.ClassifyMatrix(matrixOf(fixed), 0)
 	after := b.ClassifyStats()
 	if got := after.Fingerprints - before.Fingerprints; got != uint64(len(fixed)) {
 		t.Errorf("Fingerprints advanced by %d, want %d", got, len(fixed))

@@ -165,12 +165,12 @@ func TestClassifyDefaultWorkers(t *testing.T) {
 		m.SetRow(i, fixed[i])
 	}
 
-	want := b.ClassifyBatchFixed(fixed, 1)
+	want := b.ClassifyMatrix(&m, 1)
 	if got := b.ClassifyBatch(fps, 0); !reflect.DeepEqual(got, want) {
-		t.Errorf("ClassifyBatch(workers=0) diverged from single-worker ClassifyBatchFixed")
+		t.Errorf("ClassifyBatch(workers=0) diverged from single-worker ClassifyMatrix")
 	}
 	if got := b.ClassifyMatrix(&m, 0); !reflect.DeepEqual(got, want) {
-		t.Errorf("ClassifyMatrix(workers=0) diverged from single-worker ClassifyBatchFixed")
+		t.Errorf("ClassifyMatrix(workers=0) diverged from single-worker ClassifyMatrix")
 	}
 	if got := b.ClassifyBatchOracle(fixed, 0); !reflect.DeepEqual(got, want) {
 		t.Errorf("ClassifyBatchOracle(workers=0) diverged from fused verdicts")

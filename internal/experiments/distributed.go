@@ -36,7 +36,7 @@ type DistributedConfig struct {
 	// the workload draws from (0 means 2).
 	ProbeModels int
 	// Requests is the total identification requests replayed per phase
-	// (0 means 1024: long enough that the v4 dictionary's one-time
+	// (0 means 1024: long enough that the dictionary's one-time
 	// seeding misses amortize out of the steady-state bytes/verdict).
 	Requests int
 	// Gateways is the number of concurrent gateway clients (0 means 2),
@@ -62,7 +62,7 @@ type DistributedConfig struct {
 	// phase — the canary's shard would be unreachable).
 	NoKill    bool
 	NoRestart bool
-	// Wire selects the v4 wire compression for every client transport in
+	// Wire selects the wire compression for every client transport in
 	// the run — the gateway pools toward the front server and the remote
 	// shard toward its shard server. When it is on, the run adds an
 	// uncompressed twin phase and reports the measured gain.

@@ -63,7 +63,7 @@ func TestRunDistributedTinyConfig(t *testing.T) {
 	}
 }
 
-// TestRunDistributedWireDict runs the same drill with the v4 wire
+// TestRunDistributedWireDict runs the same drill with the wire
 // compression on: RunDistributed itself asserts bit-equal verdicts
 // (including the wire-off twin phase), zero lost across the shard
 // restart — which also proves dictionaries reset coherently across the

@@ -67,7 +67,7 @@ func TestRunRebalanceTinyConfig(t *testing.T) {
 	}
 }
 
-// TestRunRebalanceWireDict replays the live-topology drill on the v4
+// TestRunRebalanceWireDict replays the live-topology drill on the
 // dictionary wire: the migrations and the rolling member replacement
 // tear down and re-open dictionary-coded connections mid-run, and the
 // experiment's own bit-equality and zero-lost assertions prove the

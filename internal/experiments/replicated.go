@@ -32,7 +32,7 @@ type ReplicatedConfig struct {
 	// the workload draws from (0 means 2).
 	ProbeModels int
 	// Requests is the total identification requests replayed per phase
-	// (0 means 1024: long enough that the v4 dictionary's one-time
+	// (0 means 1024: long enough that the dictionary's one-time
 	// seeding misses amortize out of the steady-state bytes/verdict).
 	Requests int
 	// Gateways is the number of concurrent gateway clients (0 means 2),
@@ -63,7 +63,7 @@ type ReplicatedConfig struct {
 	// asserting (callers gate the assertion on GOMAXPROCS, like the
 	// fleet experiment's MinScaling).
 	MaxP99Ratio float64
-	// Wire selects the v4 wire compression for every client transport in
+	// Wire selects the wire compression for every client transport in
 	// the run — gateway pools and the group members' shard transports.
 	// When it is on, the run adds an uncompressed twin phase and reports
 	// the measured gain.

@@ -83,7 +83,7 @@ func TestRunReplicatedShardsTinyConfig(t *testing.T) {
 	}
 }
 
-// TestRunReplicatedShardsWireDict runs the replicated drill with the v4
+// TestRunReplicatedShardsWireDict runs the replicated drill with the
 // wire compression on: RunReplicatedShards itself asserts bit-equal
 // verdicts in both group phases and in the wire-off twin, zero lost
 // across the member kill+revive (dictionaries reset coherently on the

@@ -234,7 +234,7 @@ func runServicePhase(addr string, w *serviceWorkload, gateways, conns, inFlight 
 }
 
 // runBaselinePhase replays the workload one request at a time per
-// gateway over single-connection clients (no pipelining, no pooling).
+// gateway, each over its own single-connection pool (no pipelining).
 func runBaselinePhase(addr string, w *serviceWorkload, gateways int) (time.Duration, error) {
 	var cursor atomic.Int64
 	errs := make(chan error, gateways)
@@ -244,7 +244,7 @@ func runBaselinePhase(addr string, w *serviceWorkload, gateways int) (time.Durat
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			client := iotssp.NewClient(addr)
+			client := gateway.NewPool(addr, gateway.PoolConfig{Conns: 1})
 			defer client.Close()
 			for {
 				i := int(cursor.Add(1)) - 1

@@ -29,13 +29,12 @@ type MetricsSnapshot struct {
 	// ShardControlBytes — and BytesPerVerdict that steady-state traffic
 	// divided by the verdicts served. All are filled by
 	// ComputeBytesPerVerdict; they are measured off the lineconn byte
-	// counters, so codec changes (delta-packed batches, dictionary
-	// references, framed flate) move a reported number rather than an
-	// estimate.
+	// counters, so codec changes (dictionary references, framed flate)
+	// move a reported number rather than an estimate.
 	ShardWireBytes    uint64  `json:"shard_wire_bytes,omitempty"`
 	ShardControlBytes uint64  `json:"shard_control_bytes,omitempty"`
 	BytesPerVerdict   float64 `json:"bytes_per_verdict,omitempty"`
-	// DictHitRate is the v4 fingerprint dictionaries' hit rate across
+	// DictHitRate is the fingerprint dictionaries' hit rate across
 	// the same transports (0 when no dictionary traffic ran).
 	DictHitRate float64 `json:"dict_hit_rate,omitempty"`
 	// ClassifyNsPerFP is the fused stage-one cost the local shards

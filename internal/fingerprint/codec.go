@@ -124,14 +124,12 @@ func DecodeBinary(data []byte) (*Fingerprint, error) {
 	return FromVectors(vs), nil
 }
 
-// PackDelta encodes a fingerprint's F matrix into the delta-packed wire
-// form: the first row as zigzag varints, every later row as per-column
+// PackDelta encodes a fingerprint's F matrix into the delta-packed form:
+// the first row as zigzag varints, every later row as per-column
 // differences from its predecessor, base64-encoded. Consecutive setup
 // packets share most feature values, so the deltas are overwhelmingly
-// zero and encode in one byte each — a lossless shrink of classify
-// batches by roughly a third against Pack. Peers negotiate the codec
-// through the shard hello (protocol >= 3); UnpackDelta inverts it
-// exactly.
+// zero and encode in one byte each. It is the dictionary's 'F'
+// full-entry codec (see Dict); UnpackDelta inverts it exactly.
 func PackDelta(f *Fingerprint) (string, error) {
 	if f == nil {
 		return "", fmt.Errorf("encoding fingerprint report: nil fingerprint")

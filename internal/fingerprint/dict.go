@@ -9,10 +9,10 @@ import (
 	"repro/internal/features"
 )
 
-// This file is the per-connection fingerprint dictionary codec of wire
-// protocol v4. PR 8's intra-matrix delta packing shaves little on real
-// setup fingerprints because rows within one F matrix differ too much;
-// the redundancy is *across* requests — a fleet's recurring device
+// This file is the per-connection fingerprint dictionary codec of the
+// IoTSSP wire. Intra-matrix delta packing shaves little on real setup
+// fingerprints because rows within one F matrix differ too much; the
+// redundancy is *across* requests — a fleet's recurring device
 // models submit near-identical matrices over and over. A Dict is the
 // connection-stateful attack on exactly that: both ends of a
 // connection keep an LRU of the last N matrices keyed by

@@ -234,9 +234,13 @@ func (f *FleetPool) home(mac string) int {
 // or exhausted backpressure retries), transparently fails over along
 // the ring to the next admitted backend. Non-retryable service errors
 // (malformed requests) surface immediately and do not count against
-// backend health.
+// backend health; a nil fingerprint is rejected before any backend is
+// tried.
 func (f *FleetPool) Identify(ctx context.Context, mac string, fp *fingerprint.Fingerprint) (iotssp.Response, error) {
 	f.requests.Add(1)
+	if fp == nil {
+		return iotssp.Response{}, fmt.Errorf("gateway: identify %s: %w", mac, errNilFingerprint)
+	}
 	if len(f.backends) == 0 {
 		return iotssp.Response{}, fmt.Errorf("gateway: fleet pool has no backends")
 	}

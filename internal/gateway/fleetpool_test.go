@@ -275,3 +275,30 @@ func TestFleetPoolFullOutageRecovers(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestFleetPoolNilFingerprintLeavesBackendsAdmitted: a nil fingerprint
+// is the caller's fault, not a backend's. Rejecting it must not touch
+// any breaker, so FailureThreshold such calls leave every backend
+// admitted, and nothing is dialed.
+func TestFleetPoolNilFingerprintLeavesBackendsAdmitted(t *testing.T) {
+	svc := trainedService(t, "Aria")
+	addrs := []string{startTestServer(t, svc), startTestServer(t, svc)}
+	f := NewFleetPool(addrs, FleetPoolConfig{FailureThreshold: 3})
+	defer f.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := f.Identify(context.Background(), "02:9b:00:00:00:01", nil); err == nil {
+			t.Fatal("nil fingerprint accepted")
+		}
+	}
+	if !f.Healthy() {
+		t.Fatal("nil fingerprints ejected the whole fleet")
+	}
+	for i, b := range f.Counters().Backends {
+		if !b.Healthy || b.ConsecutiveFailures != 0 || b.Failures != 0 {
+			t.Errorf("backend %d after nil fingerprints: %+v", i, b.BreakerState)
+		}
+		if b.Pool.Transport.Dials != 0 {
+			t.Errorf("backend %d dialed %d times for nil fingerprints", i, b.Pool.Transport.Dials)
+		}
+	}
+}

@@ -36,12 +36,11 @@ type PoolConfig struct {
 	RetryBackoff time.Duration
 	// Seed seeds the jitter generator (0 selects 1).
 	Seed int64
-	// Wire selects the v4 wire compression toward the service:
+	// Wire selects the wire compression toward the service:
 	// iotssp.WireOff (the default) keeps the plain JSON-lines wire,
 	// WireDict opens each connection with a hello negotiating a
 	// per-connection fingerprint dictionary, WireDictFlate adds framed
-	// flate transport. A pre-v4 service grants nothing and the pool
-	// degrades to the plain wire.
+	// flate transport.
 	Wire iotssp.WireMode
 	// DictSize is the dictionary capacity asked for in the hello. 0
 	// selects iotssp.DefaultDictSize.
@@ -123,10 +122,9 @@ func NewPool(addr string, cfg PoolConfig) *Pool {
 		Counters: p.transport,
 	}
 	if cfg.Wire != iotssp.WireOff {
-		// The v4 wire asks ride a hello handshake the plain pool never
-		// needed: the service's reply carries the grants, and a pre-v4
-		// peer's reply carries none, downgrading the connection in place.
-		helloReq := iotssp.Request{Op: iotssp.OpHello, V: iotssp.ProtocolVersion, Dict: cfg.DictSize}
+		// The wire asks ride a hello handshake the plain pool never
+		// needed: the service's reply carries the grants.
+		helloReq := iotssp.Request{Op: iotssp.OpHello, Dict: cfg.DictSize}
 		if cfg.Wire == iotssp.WireDictFlate {
 			helloReq.Comp = iotssp.CompFlate
 		}
@@ -136,8 +134,11 @@ func NewPool(addr string, cfg PoolConfig) *Pool {
 			if h.Error != "" {
 				return fmt.Errorf("gateway: hello: %s", h.Error)
 			}
-			if h.Mode != "" && h.Mode != iotssp.ModeVerdict {
+			if h.Mode != iotssp.ModeVerdict {
 				return fmt.Errorf("gateway: peer is not an identify service (mode %q)", h.Mode)
+			}
+			if h.V != iotssp.ProtocolVersion {
+				return fmt.Errorf("gateway: service speaks protocol v%d, want v%d", h.V, iotssp.ProtocolVersion)
 			}
 			return nil
 		}
@@ -352,21 +353,32 @@ func (p *Pool) IdentifyBatch(ctx context.Context, macs []string, fps []*fingerpr
 	}
 	wg.Wait()
 
-	// Retry the retryable leftovers individually: Identify owns the
-	// backoff/redial loop, so a dropped connection or backpressure reply
-	// costs one slow path instead of failing the whole flush.
+	// Settle the burst's answers the way identify settles one: a verdict
+	// or a non-retryable rejection proves the service reachable (clearing
+	// the health latch), and a rejection counts as a failure. Retry the
+	// retryable leftovers individually: identify owns the backoff/redial
+	// loop, so a dropped connection or backpressure reply costs one slow
+	// path instead of failing the whole flush.
+	answered := false
+	var retry []int
 	for i := range macs {
-		if errs[i] == nil {
-			if resps[i].Error == "" {
-				continue
-			}
-			if !resps[i].Retryable {
-				errs[i] = fmt.Errorf("gateway: service error: %s", resps[i].Error)
-				continue
-			}
-		} else if encs[i] == nil {
-			continue // nil fingerprints cannot be retried
+		switch {
+		case encs[i] == nil:
+			// A nil fingerprint was never sent and cannot be retried.
+		case errs[i] == nil && resps[i].Error == "":
+			answered = true
+		case errs[i] == nil && !resps[i].Retryable:
+			answered = true
+			p.failures.Add(1)
+			errs[i] = fmt.Errorf("gateway: service error: %s", resps[i].Error)
+		default:
+			retry = append(retry, i)
 		}
+	}
+	if answered {
+		p.unhealthy.Store(false)
+	}
+	for _, i := range retry {
 		p.retries.Add(1)
 		resps[i], errs[i] = p.identify(ctx, macs[i], fps[i])
 	}

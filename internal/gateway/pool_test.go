@@ -409,3 +409,57 @@ func TestPoolIdentifyBatchFallsBackOnBackpressure(t *testing.T) {
 		t.Errorf("requests = %d, want %d (fallback retries must not double-count)", st.Requests, len(macs))
 	}
 }
+
+// TestPoolBatchAccountingMatchesIdentify: IdentifyBatch settles health
+// and failures the way Identify does — a verdict in a batch clears the
+// latch an exhausted Identify set, and a non-retryable rejection in a
+// batch counts as a failure just like a single rejected Identify.
+func TestPoolBatchAccountingMatchesIdentify(t *testing.T) {
+	probe := probeFor(t, "Aria")
+	const (
+		busyMAC   = "02:77:bb:00:00:01"
+		okMAC     = "02:77:bb:00:00:02"
+		rejectMAC = "02:77:bb:00:00:03"
+	)
+	addr := fakeService(t, func(conn net.Conn, count int, req iotssp.Request) bool {
+		resp := iotssp.Response{MAC: req.Fingerprint.MAC, Line: uint64(count)}
+		switch req.Fingerprint.MAC {
+		case busyMAC:
+			resp.Error, resp.Retryable = "overloaded", true
+		case rejectMAC:
+			resp.Error = "malformed"
+		default:
+			resp.Known, resp.DeviceType, resp.Stage, resp.Level = true, "Aria", "classification", "trusted"
+		}
+		respondJSON(t, conn, resp)
+		return true
+	})
+	pool := NewPool(addr, PoolConfig{Conns: 1, Seed: 5, MaxRetries: 1, RetryBackoff: time.Millisecond})
+	defer pool.Close()
+	ctx := context.Background()
+
+	if _, err := pool.Identify(ctx, busyMAC, probe.fp); err == nil {
+		t.Fatal("identify against a permanently busy service succeeded")
+	}
+	if pool.Healthy() || pool.Counters().Failures != 1 {
+		t.Fatalf("after an exhausted identify: healthy=%v %+v", pool.Healthy(), pool.Counters())
+	}
+
+	_, errs := pool.IdentifyBatch(ctx, []string{okMAC, rejectMAC}, []*fingerprint.Fingerprint{probe.fp, probe.fp})
+	if errs[0] != nil || errs[1] == nil {
+		t.Fatalf("batch errors = %v, want [nil, rejection]", errs)
+	}
+	if !pool.Healthy() {
+		t.Error("a verdict in a batch did not clear the health latch")
+	}
+	if got := pool.Counters().Failures; got != 2 {
+		t.Errorf("failures after a rejected batch entry = %d, want 2 (as a rejected Identify)", got)
+	}
+
+	if _, err := pool.Identify(ctx, rejectMAC, probe.fp); err == nil {
+		t.Fatal("rejected identify succeeded")
+	}
+	if got := pool.Counters().Failures; got != 3 {
+		t.Errorf("failures after a rejected identify = %d, want 3", got)
+	}
+}

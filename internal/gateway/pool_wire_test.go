@@ -5,23 +5,13 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/iotssp"
 )
-
-// startCappedServer serves svc with a capped wire-protocol generation.
-func startCappedServer(t *testing.T, svc *iotssp.Service, cap int) string {
-	t.Helper()
-	srv := iotssp.NewServer(svc, iotssp.ServerConfig{ProtocolCap: cap})
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(lis)
-	t.Cleanup(func() { srv.Close() })
-	return lis.Addr().String()
-}
 
 // TestPoolWireDictVerdictsBitEqual: the gateway pool's v4 dictionary
 // wire (with and without framed flate) yields responses bit-equal to
@@ -77,36 +67,50 @@ func TestPoolWireDictVerdictsBitEqual(t *testing.T) {
 	}
 }
 
-// TestPoolWireDictDowngrade: a dict-asking pool against a pre-v4
-// verdict server negotiates down to the plain wire — same verdicts,
-// zero dictionary traffic.
-func TestPoolWireDictDowngrade(t *testing.T) {
-	svc := trainedService(t, "Aria", "HueBridge")
-	capped := startCappedServer(t, svc, 3)
-	plainAddr := startTestServer(t, svc)
-
-	pool := NewPool(capped, PoolConfig{Conns: 2, Seed: 47, Wire: iotssp.WireDictFlate})
-	defer pool.Close()
-	plain := NewPool(plainAddr, PoolConfig{Conns: 2, Seed: 47})
-	defer plain.Close()
-
+// TestPoolHelloVersionMismatchFailsDial: a hello reply whose "v" is
+// not iotssp.ProtocolVersion fails the dial, so no identify request
+// ever reaches the peer; the same scripted peer announcing
+// ProtocolVersion serves normally.
+func TestPoolHelloVersionMismatchFailsDial(t *testing.T) {
 	probe := probeFor(t, "Aria")
-	for i := 0; i < 4; i++ {
-		mac := fmt.Sprintf("02:77:aa:00:00:%02x", i)
-		got, err := pool.Identify(context.Background(), mac, probe.fp)
-		if err != nil {
-			t.Fatalf("identify against capped server: %v", err)
-		}
-		want, err := plain.Identify(context.Background(), mac, probe.fp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Line, want.Line = 0, 0
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("downgraded response %+v, want %+v", got, want)
-		}
+	scripted := func(v int) (string, *atomic.Int64) {
+		var identifies atomic.Int64
+		addr := fakeService(t, func(conn net.Conn, count int, req iotssp.Request) bool {
+			if req.Op == iotssp.OpHello {
+				respondJSON(t, conn, iotssp.Response{Line: uint64(count), Mode: iotssp.ModeVerdict, V: v, Dict: req.Dict})
+				return true
+			}
+			identifies.Add(1)
+			respondJSON(t, conn, iotssp.Response{MAC: req.Fingerprint.MAC, Line: uint64(count), Known: true, DeviceType: "Aria", Stage: "classification", Level: "trusted"})
+			return true
+		})
+		return addr, &identifies
 	}
-	if st := pool.Counters().Transport; st.DictHits+st.DictMisses != 0 {
-		t.Errorf("dict engaged against a v3 verdict server: %+v", st)
+	cfg := PoolConfig{Conns: 1, Seed: 47, MaxRetries: 1, RetryBackoff: time.Millisecond, Wire: iotssp.WireDict}
+
+	for _, v := range []int{iotssp.ProtocolVersion - 1, iotssp.ProtocolVersion + 1} {
+		addr, identifies := scripted(v)
+		pool := NewPool(addr, cfg)
+		_, err := pool.Identify(context.Background(), "02:77:aa:00:00:01", probe.fp)
+		if err == nil || !strings.Contains(err.Error(), "protocol v") {
+			t.Errorf("v%d service: identify error %v, want a protocol version mismatch", v, err)
+		}
+		if n := identifies.Load(); n != 0 {
+			t.Errorf("v%d service: %d identify requests reached the peer past a failed hello", v, n)
+		}
+		if pool.Healthy() {
+			t.Errorf("v%d service: pool still healthy after every dial failed", v)
+		}
+		pool.Close()
+	}
+
+	addr, identifies := scripted(iotssp.ProtocolVersion)
+	pool := NewPool(addr, cfg)
+	defer pool.Close()
+	if resp, err := pool.Identify(context.Background(), "02:77:aa:00:00:02", probe.fp); err != nil || resp.DeviceType != "Aria" {
+		t.Fatalf("v%d service: %+v, %v", iotssp.ProtocolVersion, resp, err)
+	}
+	if identifies.Load() != 1 {
+		t.Errorf("identify requests served = %d, want 1", identifies.Load())
 	}
 }

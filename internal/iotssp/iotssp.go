@@ -74,45 +74,28 @@
 // keeps its address so a revived one is found where the client's
 // health probes left it.
 //
-// # Shard-serving mode and the v2 wire verbs
+// # Shard-serving mode
 //
-// The wire protocol's second generation distributes the classifier
-// bank itself. A Server created with NewShardServer hosts one
-// core.Bank shard of a logical core.ShardedBank and, instead of
-// identify requests, answers the shard verbs — each a JSON line with
-// an "op" field:
+// The classifier bank itself can be distributed. A Server created with
+// NewShardServer hosts one core.Bank shard of a logical
+// core.ShardedBank and, instead of identify requests, answers the shard
+// verbs listed below. Every shard response is stamped with the shard's
+// enrolment version. RemoteShard — the client side, implementing
+// core.Shard — folds those stamps into a local version cache so
+// Versions() on the logical bank stays a handful of atomic loads, and a
+// remote enrolment invalidates exactly the dependent verdict-cache
+// entries without polling. Identify requests that reach a shard
+// endpoint get a clean retryable error naming the mode (never a
+// malformed-line reply); shard verbs against a verdict endpoint fail
+// non-retryably the same way. A shard served behind a Replica
+// (NewShardReplica) restarts in place, and RemoteShard's
+// reconnect/retry with jittered backoff carries in-flight scatters
+// across the outage.
 //
-//   - "hello" negotiates: both server modes reply with their mode
-//     ("verdict" or "shard") and protocol version, so a client learns
-//     what it dialed before pipelining work. A RemoteShard sends it as
-//     the first line of every fresh connection and aborts cleanly on a
-//     mode or version mismatch.
-//   - "classify" carries a whole scatter flush as packed F matrices
-//     (the same codec the gateway clients use) and returns each
-//     fingerprint's accepted types in shard enrolment order.
-//   - "discriminate" runs stage two among this shard's candidates.
-//   - "enroll" ships packed training fingerprints; the shard trains
-//     the new classifier off the read pump and answers out of order
-//     (line-echo correlation keeps pipelined classifies unaffected).
-//   - "meta" returns the shard's type list and version.
-//
-// Every shard response is stamped with the shard's enrolment version.
-// RemoteShard — the client side, implementing core.Shard — folds those
-// stamps into a local version cache so Versions() on the logical bank
-// stays a handful of atomic loads, and a remote enrolment invalidates
-// exactly the dependent verdict-cache entries without polling.
-// Version-1 clients that reach a shard endpoint get a clean retryable
-// error naming the mode (never a malformed-line reply); shard verbs
-// against a verdict endpoint fail non-retryably the same way. A shard
-// served behind a Replica (NewShardReplica) restarts in place, and
-// RemoteShard's reconnect/retry with jittered backoff carries
-// in-flight scatters across the outage.
-//
-// Every client in this package — the legacy single-connection Client
-// and RemoteShard's pipelined links alike — rides internal/lineconn,
-// the shared line-correlated transport (line-echo correlation,
-// connection-generation guard, fail-fast waiter semantics, lazy
-// reconnect); RemoteShard plugs the hello negotiation in through the
+// Every client of this protocol — RemoteShard here and the gateway
+// package's pool — rides internal/lineconn, the shared line-correlated
+// transport (line-echo correlation, connection-generation guard,
+// fail-fast waiter semantics, lazy reconnect). The hello is the
 // transport's handshake hook, so a mode or version mismatch fails the
 // dial instead of surfacing mid-pipeline.
 //
@@ -134,72 +117,77 @@
 // the verdict cache invalidates its dependents exactly once, never
 // once per replica.
 //
-// # The v3 compaction generation
+// # Verbs and fields
 //
-// Protocol version 3 collapses the shard plane's wire cost in three
-// ways, each negotiated at hello so mixed-version fleets degrade to
-// the v2 cost instead of failing. OpSnapshot/OpRestore transfer a
-// shard bank's whole trained state as one canonical blob
-// (core.Bank.Snapshot): the control plane mints replacement group
-// members by state transfer — O(snapshot bytes) instead of replaying
-// and retraining the partition's enrolment history — and the blob's
-// canonical encoding makes bit-identity a byte compare
-// (core.SnapshotsEqual). Classify batches may carry delta-packed F
-// matrices ("enc":"delta", fingerprint.PackDelta), shrinking rows that
-// repeat within a fingerprint. And a client's hello may subscribe to
-// the shard's delta stream: the server pushes OpDelta version bumps
-// (uncorrelated lines, carried to the client by the transport's push
-// hook) whenever the shard's state changes, so a subscribed front's
-// version cache — and with it the verdict cache's shard-scoped
-// invalidation — moves without any polling round-trip. A v2 peer
-// answers the v3 verbs with a non-retryable unknown-op error and
-// refuses delta-encoded batches; clients therefore keep every v3
-// feature off unless the negotiated version reaches 3.
+// One protocol generation, ProtocolVersion, is served. Every line is a
+// JSON object; requests carry an "op" (empty for identify), replies
+// echo the request's "line". A client that says hello must get back
+// "v" equal to its own ProtocolVersion or it fails the dial.
 //
-// # The v4 wire-compression generation
+//	verb / field         mode       meaning
+//	(identify)           verdict    one fingerprint report (packed F, or
+//	                                a dictionary entry with enc:"dict");
+//	                                the reply is a Response verdict
+//	hello                both       the reply names the mode ("verdict"
+//	                                or "shard") and "v"; on a shard
+//	                                server it also subscribes the
+//	                                connection to OpDelta pushes
+//	hello dict:N         both       the server replies dict:min(N,
+//	                                MaxDictSize) and both ends build an
+//	                                N-entry fingerprint.Dict for this
+//	                                connection; absent/0 = no dict
+//	hello comp:"flate"   both       the server echoes comp:"flate" and
+//	                                everything after the hello reply
+//	                                travels as framed flate
+//	                                (lineconn.FrameWriter); absent =
+//	                                plain lines
+//	meta                 shard      the shard's type list and version
+//	classify             shard      a whole scatter flush as packed F
+//	                                matrices (or dictionary entries);
+//	                                each fingerprint's accepted types
+//	                                come back in shard enrolment order
+//	discriminate         shard      stage two among this shard's
+//	                                candidates
+//	enroll / remove      shard      train or retire a type; enrolments
+//	                                train off the read pump and answer
+//	                                out of order
+//	snapshot / restore   shard      whole-shard state transfer as one
+//	                                canonical blob (core.Bank.Snapshot):
+//	                                the control plane mints replacement
+//	                                group members this way instead of
+//	                                replaying enrolment history
+//	delta                push       the shard's new version and changed
+//	                                types, pushed (no line echo) to
+//	                                every hello'd connection when its
+//	                                state changes
+//	enc:"dict"           classify / matrices are dictionary entries
+//	                     discr. /   ('F' full, 'R' exact reference — 'R'
+//	                     identify   plus the base64url of the 8-byte
+//	                                content hash — 'D' near-match diff);
+//	                                only valid once a dict was
+//	                                negotiated on this connection
+//	interned names       shard,     on a dict connection the recurring
+//	                     both ways  device-type names (discriminate
+//	                                candidates; classify accepts, best,
+//	                                score keys) travel through
+//	                                per-direction intern tables: "=name"
+//	                                defines the next index, "#k"
+//	                                references it, "~name" escapes a
+//	                                literal; map keys are reference-or-
+//	                                literal only (marshal order is not
+//	                                definition order)
+//	op echo              response   a dict connection drops the op echo
+//	                                on correlated shard replies (the
+//	                                line echo correlates); hello replies
+//	                                and OpDelta pushes — which have no
+//	                                line — keep it
 //
-// Protocol version 4 makes connections stateful to attack the fleet's
-// actual redundancy: the same device models submit near-identical F
-// matrices across requests, so v3's intra-matrix deltas barely help.
-// Both options ride the hello and degrade cleanly against older peers.
+// The dictionary exists because the fleet's redundancy is across
+// requests: the same device models submit near-identical F matrices,
+// so a recurring fingerprint costs a short reference instead of its
+// packed form.
 //
-//	verb / field         direction        negotiation
-//	hello dict:N         client asks      server replies dict:min(N, MaxDictSize)
-//	                                      and both ends build an N-entry
-//	                                      fingerprint.Dict for this
-//	                                      connection; absent/0 = no dict
-//	hello comp:"flate"   client asks      server echoes comp:"flate" and
-//	                                      everything after the hello
-//	                                      reply travels as framed flate
-//	                                      (lineconn.FrameWriter); absent
-//	                                      = plain lines
-//	enc:"dict"           classify /       batch entries and identify
-//	                     discriminate /   matrices are dictionary
-//	                     identify         entries ('F' full, 'R' exact
-//	                                      reference — 'R' plus the
-//	                                      base64url of the 8-byte
-//	                                      content hash — 'D' near-match
-//	                                      diff); only valid once a dict
-//	                                      was negotiated on this
-//	                                      connection
-//	interned names       both, shard      on a dict connection the
-//	                     verbs only       recurring device-type names
-//	                                      (discriminate candidates;
-//	                                      classify accepts, best, score
-//	                                      keys) travel through
-//	                                      per-direction intern tables:
-//	                                      "=name" defines the next
-//	                                      index, "#k" references it,
-//	                                      "~name" escapes a literal;
-//	                                      map keys are reference-or-
-//	                                      literal only (marshal order
-//	                                      is not definition order)
-//	op echo              response         a dict connection drops the
-//	                                      op echo on correlated shard
-//	                                      replies (the line echo
-//	                                      correlates); hello replies
-//	                                      and OpDelta pushes — which
-//	                                      have no line — keep it
+// # Dictionary coherence
 //
 // A dictionary and its name tables are strictly per-connection state:
 // encoder transactions commit only for lines actually written, the
@@ -208,10 +196,7 @@
 // non-retryable error and severs the connection — both ends then
 // rebuild empty state on the reconnect (the lineconn incarnation is
 // the dictionary generation), so a stale reference can never decode
-// against a cache the peer no longer holds. Servers with ProtocolCap
-// < 4 and v3-or-older clients never see any of this: the hello fields
-// go unanswered and the connection serves the v3 (or v2) wire forms
-// unchanged.
+// against a cache the peer no longer holds.
 package iotssp
 
 import (
@@ -223,30 +208,14 @@ import (
 	"repro/internal/vulndb"
 )
 
-// ProtocolVersion is the wire protocol generation this build speaks.
-// Version 1 is the original identify-only JSON-lines protocol (every
-// line is a Request, every reply a Response). Version 2 adds the shard
-// verbs (OpHello, OpMeta, OpClassify, OpDiscriminate, OpEnroll) spoken
-// to a shard-serving Server, plus the OpHello negotiation both server
-// modes answer so a client can discover what it is talking to before
-// pipelining work onto the connection. Version 3 adds the compaction
-// generation: the snapshot verbs (OpSnapshot, OpRestore — whole-shard
-// state transfer), delta-packed classify batches (the "enc":"delta"
-// encoding) and the hello's delta-stream subscription (the server
-// pushes OpDelta version bumps to subscribers instead of clients
-// learning of remote enrolments only from response stamps). Clients
-// accept any peer >= 2 and simply keep the version-3 features off
-// against an older one, so mixed-version fleets degrade to the v2 wire
-// cost rather than failing. Version 4 adds connection-stateful wire
-// compression: the hello negotiates a per-connection fingerprint
-// dictionary (the "enc":"dict" encoding for classify, discriminate and
-// identify matrices) and optionally framed flate transport compression
-// ("comp":"flate"); see the package doc's v4 section for the
-// negotiation table and coherence rules.
+// ProtocolVersion is the wire protocol generation this build speaks
+// and announces in every hello reply. Clients fail the dial on any other
+// value: the package serves exactly one generation (see the package
+// doc's verb and field table).
 const ProtocolVersion = 4
 
 // Wire operations (the Request/shardRequest "op" field). An empty op is
-// a version-1 identify request.
+// an identify request.
 const (
 	// OpHello negotiates: both server modes answer with their mode
 	// ("verdict" or "shard") and protocol version, so mismatched clients
@@ -265,32 +234,27 @@ const (
 	// discriminations, the version bumps once).
 	OpRemove = "remove"
 	// OpSnapshot asks a shard server for its bank's serialized trained
-	// state (protocol >= 3). The control plane mints replacement group
-	// members by transferring it instead of replaying enrolment history.
+	// state. The control plane mints replacement group members by
+	// transferring it instead of replaying enrolment history.
 	OpSnapshot = "snapshot"
 	// OpRestore replaces a shard server's bank state with a transferred
-	// snapshot (protocol >= 3).
+	// snapshot.
 	OpRestore = "restore"
-	// OpDelta is a server-initiated push (no line echo), sent to hello
-	// subscribers when the shard's state changes: it carries the new
-	// version and the changed type names, so a subscribed client's
-	// version cache moves without a classify round-trip.
+	// OpDelta is a server-initiated push (no line echo), sent to every
+	// connection that said hello when the shard's state changes: it
+	// carries the new version and the changed type names, so the
+	// client's version cache moves without a classify round-trip.
 	OpDelta = "delta"
 )
-
-// deltaEncoding is the shardRequest Enc value selecting delta-packed F
-// matrices (fingerprint.PackDelta) in classify batches, negotiated at
-// protocol >= 3.
-const deltaEncoding = "delta"
 
 // DictEncoding is the Enc value selecting dictionary-coded F matrices
 // (fingerprint.Dict entries) in classify, discriminate and identify
 // requests — valid only on a connection whose hello negotiated a
-// dictionary (protocol >= 4).
+// dictionary.
 const DictEncoding = "dict"
 
 // CompFlate is the hello Comp value asking for framed flate transport
-// compression after the handshake (protocol >= 4).
+// compression after the handshake.
 const CompFlate = "flate"
 
 // DefaultDictSize is the per-connection dictionary capacity clients
@@ -302,15 +266,14 @@ const DefaultDictSize = 512
 // bounding per-connection memory whatever a client asks for.
 const MaxDictSize = 4096
 
-// WireMode selects a client stack's v4 wire compression: off (the v3
-// wire forms), the per-connection fingerprint dictionary, or the
+// WireMode selects a client stack's wire compression: off (packed
+// matrices), the per-connection fingerprint dictionary, or the
 // dictionary plus framed flate transport compression. Zero value is
-// off, so existing configs are unchanged.
+// off.
 type WireMode int
 
 const (
-	// WireOff sends the pre-v4 wire forms (packed or delta-packed
-	// matrices, plain lines).
+	// WireOff sends packed matrices on plain lines.
 	WireOff WireMode = iota
 	// WireDict negotiates the per-connection fingerprint dictionary.
 	WireDict
@@ -346,16 +309,13 @@ func ParseWireMode(s string) (WireMode, error) {
 
 // Request is one identification request from a Security Gateway.
 type Request struct {
-	// Op selects the wire operation. Empty means identify (the version-1
-	// protocol); OpHello asks the server to introduce itself. The shard
-	// verbs are only valid against a shard-serving server — a verdict
-	// server answers them with a non-retryable error naming its mode.
+	// Op selects the wire operation. Empty means identify; OpHello asks
+	// the server to introduce itself. The shard verbs are only valid
+	// against a shard-serving server — a verdict server answers them
+	// with a non-retryable error naming its mode.
 	Op string `json:"op,omitempty"`
 	// Fingerprint is the device's fingerprint report (MAC + F matrix).
 	Fingerprint fingerprint.Report `json:"fingerprint"`
-	// V is the client's protocol version, sent with OpHello (protocol
-	// >= 4 clients negotiating wire compression; older clients omit it).
-	V int `json:"v,omitempty"`
 	// Comp and Dict are the OpHello wire-compression asks: framed flate
 	// transport compression (CompFlate) and a per-connection fingerprint
 	// dictionary of the given capacity. The server's hello reply echoes
@@ -364,7 +324,7 @@ type Request struct {
 	Dict int    `json:"dict,omitempty"`
 	// Enc marks how Fingerprint's matrix travels: empty for the packed
 	// form, DictEncoding for a dictionary entry (Fingerprint.Packed then
-	// holds the entry; protocol >= 4, negotiated dictionary required).
+	// holds the entry; a negotiated dictionary is required).
 	Enc string `json:"enc,omitempty"`
 }
 
@@ -375,7 +335,7 @@ type Response struct {
 	MAC string `json:"mac"`
 	// Line echoes the 1-based request line number on the connection that
 	// carried it (0 for responses not tied to a connection line, e.g.
-	// from Service.Handle directly). With out-of-order responses it
+	// from Service.Identify directly). With out-of-order responses it
 	// gives clients an exact correlation key.
 	Line uint64 `json:"line,omitempty"`
 	// Known reports whether any classifier accepted the fingerprint.
@@ -409,7 +369,7 @@ type Response struct {
 	// Mode, V, Comp and Dict surface the server's OpHello answer to a
 	// verdict-plane client (the reply travels as a shardResponse on the
 	// wire; these mirror the fields a gateway.Pool needs to read the
-	// negotiation): serving mode, protocol cap, and the agreed wire
+	// negotiation): serving mode, protocol version, and the agreed wire
 	// compression. Empty on ordinary identify responses.
 	Mode string `json:"mode,omitempty"`
 	V    int    `json:"v,omitempty"`
@@ -524,15 +484,6 @@ func (s *Service) depsFor(res core.Result, snapshot []uint64) verdictDeps {
 	return depsOn(snapshot, shards)
 }
 
-// Handle processes one request.
-func (s *Service) Handle(req Request) Response {
-	mac, fp, err := fingerprint.UnmarshalReportStruct(req.Fingerprint)
-	if err != nil {
-		return Response{Error: err.Error()}
-	}
-	return s.Identify(mac, fp)
-}
-
 // Identify returns the verdict for one decoded fingerprint, consulting
 // the verdict cache. Concurrent calls with the same fingerprint
 // collapse to one bank identification.
@@ -587,31 +538,6 @@ func (s *Service) assemble(res core.Result) Response {
 		resp.UncontrolledChannels = channels
 	}
 	return resp
-}
-
-// HandleBatch processes a batch of requests and returns responses in
-// input order. Well-formed requests flow through IdentifyBatch (cache,
-// dedup, batched bank inference); malformed ones get per-request error
-// responses without poisoning the rest of the batch.
-func (s *Service) HandleBatch(reqs []Request, workers int) []Response {
-	out := make([]Response, len(reqs))
-	macs := make([]string, 0, len(reqs))
-	fps := make([]*fingerprint.Fingerprint, 0, len(reqs))
-	idx := make([]int, 0, len(reqs))
-	for i, req := range reqs {
-		mac, fp, err := fingerprint.UnmarshalReportStruct(req.Fingerprint)
-		if err != nil {
-			out[i] = Response{Error: err.Error()}
-			continue
-		}
-		macs = append(macs, mac)
-		fps = append(fps, fp)
-		idx = append(idx, i)
-	}
-	for j, resp := range s.IdentifyBatch(macs, fps, workers) {
-		out[idx[j]] = resp
-	}
-	return out
 }
 
 // IdentifyBatch returns verdicts for decoded fingerprints in input
@@ -686,7 +612,7 @@ func (s *Service) IdentifyBatch(macs []string, fps []*fingerprint.Fingerprint, w
 		}
 	}
 
-	// Fingerprints being computed by concurrent callers (Handle or
+	// Fingerprints being computed by concurrent callers (Identify or
 	// another batch): wait for their verdicts.
 	for _, w := range waits {
 		<-w.f.done

@@ -66,14 +66,9 @@ func TestHandleIdentifiesAndAssignsLevels(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.typ, func(t *testing.T) {
-			fp := ds[tt.typ][0]
-			report, err := fingerprint.MarshalReportStruct("02:00:00:00:00:77", fp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp := svc.Handle(Request{Fingerprint: report})
+			resp := svc.Identify("02:00:00:00:00:77", ds[tt.typ][0])
 			if resp.Error != "" {
-				t.Fatalf("Handle error: %s", resp.Error)
+				t.Fatalf("Identify error: %s", resp.Error)
 			}
 			if !resp.Known || resp.DeviceType != tt.typ {
 				t.Fatalf("identified as %q (known=%v), want %q", resp.DeviceType, resp.Known, tt.typ)
@@ -100,13 +95,9 @@ func TestHandleUnknownDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := fingerprint.MarshalReportStruct("02:00:00:00:00:88", traces[0].Fingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := svc.Handle(Request{Fingerprint: report})
+	resp := svc.Identify("02:00:00:00:00:88", traces[0].Fingerprint())
 	if resp.Error != "" {
-		t.Fatalf("Handle error: %s", resp.Error)
+		t.Fatalf("Identify error: %s", resp.Error)
 	}
 	if resp.Known {
 		t.Fatalf("unenrolled type identified as %q", resp.DeviceType)
@@ -116,14 +107,27 @@ func TestHandleUnknownDevice(t *testing.T) {
 	}
 }
 
+// TestHandleMalformedFingerprint: a report whose vectors have the wrong
+// dimensionality is rejected by the decoder every server read pump
+// runs, and a server answers it with a non-retryable error naming the
+// line while keeping the connection open.
 func TestHandleMalformedFingerprint(t *testing.T) {
+	report := fingerprint.Report{MAC: "x", Vectors: [][]int32{{1, 2, 3}}}
+	if _, _, err := fingerprint.UnmarshalReportStruct(report); err == nil {
+		t.Error("malformed fingerprint decoded")
+	}
+
 	svc, _ := testService(t)
-	resp := svc.Handle(Request{Fingerprint: fingerprint.Report{
-		MAC:     "x",
-		Vectors: [][]int32{{1, 2, 3}},
-	}})
-	if resp.Error == "" {
-		t.Error("malformed fingerprint accepted")
+	srv := NewServer(svc, ServerConfig{})
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(lis)
+	t.Cleanup(func() { srv.Close() })
+	m := rawLine(t, lis.Addr().String(), `{"fingerprint":{"mac":"x","vectors":[[1,2,3]]}}`)
+	if m["error"] == nil || m["retryable"] == true || m["line"] != float64(1) {
+		t.Errorf("malformed fingerprint over the wire = %v", m)
 	}
 }
 
@@ -156,7 +160,7 @@ func TestServerClientOverTCP(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(lis) }()
 
-	client := NewClient(lis.Addr().String())
+	client := newTestClient(lis.Addr().String())
 	defer client.Close()
 
 	ctx := context.Background()
@@ -194,7 +198,7 @@ func TestServerConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			client := NewClient(lis.Addr().String())
+			client := newTestClient(lis.Addr().String())
 			defer client.Close()
 			for j := 0; j < 5; j++ {
 				resp, err := client.Identify(context.Background(), "02:00:00:00:00:01", ds["HueBridge"][j%len(ds["HueBridge"])])
@@ -224,7 +228,7 @@ func TestClientReconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	go srv.Serve(lis)
-	client := NewClient(lis.Addr().String())
+	client := newTestClient(lis.Addr().String())
 	defer client.Close()
 
 	if _, err := client.Identify(context.Background(), "02:00:00:00:00:01", ds["Aria"][0]); err != nil {

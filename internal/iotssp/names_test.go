@@ -2,6 +2,7 @@ package iotssp
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -106,4 +107,66 @@ func TestInternShardResponseRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(resp, orig) {
 		t.Fatalf("round trip = %+v, want %+v", resp, orig)
 	}
+}
+
+// FuzzNameResolve drives the name-interning decoders with arbitrary
+// wire forms and checks the codec round trip. The input is read as
+// lines of comma-separated strings. Decoded raw, each string is a wire
+// form ("#k", "=name", "~name" or a literal) fed through
+// nameDec.resolve and expandShardResponse, which may reject but must
+// never panic. Read as names, every line is interned through both
+// directions' encoders (response and candidate list) and must decode
+// back to the original names, with the tables in lockstep across
+// lines.
+func FuzzNameResolve(f *testing.F) {
+	f.Add("Aria,HueBridge,Aria\nHueBridge,WeMo")
+	f.Add("#0,=x,#0,~#y,#1\n=,#-1,#999999999999999999999,~")
+	f.Add("#strange,=stranger,~tilde\n,,")
+	f.Fuzz(func(t *testing.T, data string) {
+		lines := strings.Split(data, "\n")
+
+		// Raw wire forms: errors are fine, panics are not.
+		raw := &nameDec{}
+		for _, line := range lines {
+			forms := strings.Split(line, ",")
+			for _, s := range forms {
+				raw.resolve(s)
+			}
+			resp := shardResponse{Accepts: [][]string{append([]string(nil), forms...)}, Best: forms[0], Scores: map[string]float64{}}
+			for i, s := range forms {
+				resp.Scores[s] = float64(i)
+			}
+			expandShardResponse(&resp, raw)
+		}
+
+		// Names: the encoder/decoder pairs must round-trip exactly.
+		respEnc, respDec := &nameEnc{}, &nameDec{}
+		reqIdx, reqDec := map[string]int{}, &nameDec{}
+		for n, line := range lines {
+			names := strings.Split(line, ",")
+			scores := make(map[string]float64, len(names))
+			for i, name := range names {
+				scores[name] = float64(i)
+			}
+			resp := shardResponse{Accepts: [][]string{append([]string(nil), names...)}, Best: names[0], Scores: scores}
+			internShardResponse(&resp, respEnc)
+			if err := expandShardResponse(&resp, respDec); err != nil {
+				t.Fatalf("line %d: expanding an interned response: %v", n, err)
+			}
+			if !reflect.DeepEqual(resp.Accepts[0], names) || resp.Best != names[0] || !reflect.DeepEqual(resp.Scores, scores) {
+				t.Fatalf("line %d: response round trip %+v, want accepts %q best %q scores %v", n, resp, names, names[0], scores)
+			}
+
+			wire, defined := internCandidates(names, reqIdx)
+			if err := expandCandidates(wire, reqDec); err != nil {
+				t.Fatalf("line %d: expanding interned candidates: %v", n, err)
+			}
+			if !reflect.DeepEqual(wire, names) {
+				t.Fatalf("line %d: candidate round trip %q, want %q", n, wire, names)
+			}
+			for _, name := range defined {
+				reqIdx[name] = len(reqIdx)
+			}
+		}
+	})
 }

@@ -121,7 +121,7 @@ func TestServerBatchesAcrossConnections(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := NewClient(addr)
+			c := newTestClient(addr)
 			defer c.Close()
 			mac := fmt.Sprintf("02:00:00:00:01:%02x", i)
 			resp, err := c.Identify(context.Background(), mac, ds["Aria"][i%len(ds["Aria"])])
@@ -238,7 +238,7 @@ func TestServerConnectionLimit(t *testing.T) {
 	svc, ds := testService(t)
 	srv, addr := startServer(t, svc, ServerConfig{MaxConns: 1})
 
-	first := NewClient(addr)
+	first := newTestClient(addr)
 	defer first.Close()
 	if _, err := first.Identify(context.Background(), "02:00:00:00:04:01", ds["Aria"][0]); err != nil {
 		t.Fatal(err)

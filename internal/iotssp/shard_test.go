@@ -253,7 +253,7 @@ func TestOldClientAgainstShardServerGetsRetryableError(t *testing.T) {
 	fix := getShardFixture(t)
 	replica := startShardReplica(t, freshShardedBank(t).Shard(0).(*core.Bank))
 
-	client := NewClient(replica.Addr())
+	client := newTestClient(replica.Addr())
 	defer client.Close()
 	resp, err := client.Identify(context.Background(), "02:aa:00:00:00:01", fix.probes[0])
 	if err == nil {
@@ -376,6 +376,17 @@ func TestShardServerErrorPaths(t *testing.T) {
 	}
 	if m := rawLine(t, addr, `this is not json`); m["error"] == nil {
 		t.Errorf("malformed line = %v", m)
+	}
+	// The packed codec and negotiated dictionaries are the only matrix
+	// encodings: anything else ("delta" included) is malformed, and a
+	// dictionary entry needs a hello-negotiated dictionary.
+	for _, enc := range []string{"delta", "zstd"} {
+		if m := rawLine(t, addr, `{"op":"classify","enc":"`+enc+`","batch":[]}`); m["error"] == nil || m["retryable"] == true {
+			t.Errorf("batch encoding %q = %v", enc, m)
+		}
+	}
+	if m := rawLine(t, addr, `{"op":"discriminate","enc":"dict","fingerprint":"R"}`); m["error"] == nil || m["retryable"] == true {
+		t.Errorf("dict discriminate without a negotiated dictionary = %v", m)
 	}
 	if m := rawLine(t, addr, `{"op":"meta"}`); m["error"] != nil {
 		t.Errorf("meta after malformed lines should work (connection stays alive): %v", m)

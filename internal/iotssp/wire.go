@@ -10,12 +10,12 @@ import (
 	"repro/internal/lineconn"
 )
 
-// Server-side state of the v4 wire-compression generation. Each
-// connection owns one connWire: the per-connection fingerprint
-// dictionary (nil until a hello negotiates one) and the framed-flate
-// handshake state. The read pump is the only writer, so no locking —
-// dictionary coherence depends on decoding requests in connection line
-// order, which the single read pump guarantees.
+// Server-side wire-compression state. Each connection owns one
+// connWire: the per-connection fingerprint dictionary (nil until a
+// hello negotiates one) and the framed-flate handshake state. The read
+// pump is the only writer, so no locking — dictionary coherence depends
+// on decoding requests in connection line order, which the single read
+// pump guarantees.
 
 // connWire is one connection's negotiated wire-compression state.
 type connWire struct {
@@ -23,13 +23,10 @@ type connWire struct {
 	// first hello that asks for one. It lives and dies with the TCP
 	// connection: a reconnecting client starts from an empty dictionary
 	// on both ends, which is what keeps the two coherent.
-	dict     *fingerprint.Dict
-	dictSize int
-	// comp reports that responses travel as compressed frames;
-	// compPending that the hello granting them has not been sent yet
-	// (the grant itself must go out plain).
-	comp        bool
-	compPending bool
+	dict *fingerprint.Dict
+	// comp reports that responses travel as compressed frames (granted
+	// by a hello on this connection).
+	comp bool
 	// reqNames and respNames are the connection's type-name intern
 	// tables (one per direction), created with the dictionary: requests
 	// reference candidate names they sent before, responses reference
@@ -48,39 +45,43 @@ type connWire struct {
 // flushed plain, everything after travels compressed.
 type switchFrames struct{}
 
-// negotiateWire applies a hello's wire-compression asks to the
-// connection and echoes the grants into the hello reply. Both peers
-// must speak v4; older clients' hellos carry no asks and older servers
-// grant nothing, so either side negotiates the pair down to plain v3
-// behaviour. Repeated hellos re-echo the standing grants without
-// resetting the dictionary or double-switching the framing.
-func (s *Server) negotiateWire(resp *shardResponse, v int, comp string, dictAsk int, cw *connWire) {
-	if s.cfg.ProtocolCap < 4 || v < 4 {
-		return
-	}
+// hello answers a hello: it applies the wire-compression asks to the
+// connection, echoes the standing grants into resp and queues it. A
+// hello without asks gets none back; repeated hellos re-echo the
+// grants without resetting the dictionary or double-switching the
+// framing. When the reply newly grants flate, both directions switch to
+// frames right behind it: the grant goes out plain, the write pump
+// frames everything after it, and the scanner expects frames from the
+// client's next line. It reports whether the connection is still
+// writable.
+func (cw *connWire) hello(w *connWriter, ls *lineScanner, resp shardResponse, comp string, dictAsk int) bool {
 	if dictAsk > 0 && cw.dict == nil {
-		size := dictAsk
-		if size > MaxDictSize {
-			size = MaxDictSize
-		}
-		cw.dict = fingerprint.NewDict(size)
-		cw.dictSize = size
+		cw.dict = fingerprint.NewDict(min(dictAsk, MaxDictSize))
 		cw.reqNames = &nameDec{}
 		cw.respNames = &nameEnc{}
 	}
-	if cw.dictSize > 0 {
-		resp.Dict = cw.dictSize
+	if cw.dict != nil {
+		resp.Dict = cw.dict.Cap()
 	}
-	if comp == CompFlate && !cw.comp && !cw.compPending {
-		cw.compPending = true
-	}
-	if cw.comp || cw.compPending {
+	startFrames := comp == CompFlate && !cw.comp
+	cw.comp = cw.comp || startFrames
+	if cw.comp {
 		resp.Comp = CompFlate
 	}
+	if !w.send(resp) {
+		return false
+	}
+	if !startFrames {
+		return true
+	}
+	if !w.send(switchFrames{}) {
+		return false
+	}
+	ls.startFrames()
+	return true
 }
 
-// maxLineBytes caps one request line, matching the bufio.Scanner
-// buffer the pre-v4 read pumps used.
+// maxLineBytes caps one request line.
 const maxLineBytes = 16 * 1024 * 1024
 
 // lineScanner reads request lines off a connection, in either wire

@@ -6,13 +6,15 @@ import (
 	"encoding/json"
 	"net"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 )
 
-// dictRemote builds a RemoteShard with the v4 wire compression on and
+// dictRemote builds a RemoteShard with the wire compression on and
 // fast retries, against addr.
 func dictRemote(t *testing.T, addr string, wire WireMode) *RemoteShard {
 	t.Helper()
@@ -81,35 +83,77 @@ func TestRemoteShardWireDictBitEqual(t *testing.T) {
 	}
 }
 
-// TestRemoteShardWireDowngrade: a v4 client asking for dict+flate
-// against protocol-capped servers degrades to that generation's plain
-// wire — same verdicts, zero dictionary traffic.
-func TestRemoteShardWireDowngrade(t *testing.T) {
-	fix := getShardFixture(t)
-	served := freshShardedBank(t)
-	local := served.Shard(0).(*core.Bank)
+// scriptedShardPeer serves a hand-scripted shard endpoint: it answers
+// each connection's hello as a shard server speaking protocol v, then
+// answers every further line as a meta request for one type. It
+// returns the address and a count of the lines served after a hello.
+func scriptedShardPeer(t *testing.T, v int) (string, *atomic.Int64) {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	var served atomic.Int64
+	go func() {
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			go func(conn net.Conn) {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				for line := uint64(1); ; line++ {
+					if _, err := br.ReadBytes('\n'); err != nil {
+						return
+					}
+					resp := shardResponse{Op: OpMeta, Line: line, Types: []string{"Scripted"}, Version: 1}
+					if line == 1 {
+						resp = shardResponse{Op: OpHello, Line: 1, Mode: ModeShard, V: v, Version: 1}
+					} else {
+						served.Add(1)
+					}
+					b, _ := json.Marshal(resp)
+					conn.Write(append(b, '\n'))
+				}
+			}(conn)
+		}
+	}()
+	return lis.Addr().String(), &served
+}
 
-	for _, cap := range []int{2, 3} {
-		r := NewShardReplica(local, ServerConfig{ProtocolCap: cap})
-		if err := r.Start(); err != nil {
-			t.Fatal(err)
+// TestRemoteShardHelloVersionMismatchFailsDial: a hello reply whose
+// "v" is not ProtocolVersion fails the dial, so no request ever reaches
+// the peer and the operation surfaces the mismatch; the same scripted
+// peer announcing ProtocolVersion serves normally.
+func TestRemoteShardHelloVersionMismatchFailsDial(t *testing.T) {
+	for _, v := range []int{ProtocolVersion - 1, ProtocolVersion + 1} {
+		addr, served := scriptedShardPeer(t, v)
+		remote := NewRemoteShard(addr, RemoteShardConfig{
+			Seed:         37,
+			Wire:         WireDict,
+			MaxRetries:   1,
+			RetryBackoff: time.Millisecond,
+			MaxBackoff:   2 * time.Millisecond,
+		})
+		_, err := remote.Snapshot()
+		if err == nil || !strings.Contains(err.Error(), "protocol v") {
+			t.Errorf("v%d peer: snapshot error %v, want a protocol version mismatch", v, err)
 		}
-		remote := dictRemote(t, r.Addr(), WireDictFlate)
-		got := remote.ClassifyBatch(fix.probes, 0)
-		want := local.ClassifyBatch(fix.probes, 0)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("cap v%d: classify = %v, want %v", cap, got, want)
+		if n := served.Load(); n != 0 {
+			t.Errorf("v%d peer: %d requests reached the peer past a failed hello", v, n)
 		}
-		if p := remote.Proto(); p != cap {
-			t.Errorf("cap v%d: negotiated proto %d", cap, p)
-		}
-		st := remote.Counters().Transport
-		if st.DictHits+st.DictMisses != 0 {
-			t.Errorf("cap v%d: dict engaged against a pre-v4 peer: hits=%d misses=%d",
-				cap, st.DictHits, st.DictMisses)
+		if remote.Healthy() {
+			t.Errorf("v%d peer: client still healthy after every dial failed", v)
 		}
 		remote.Close()
-		r.Close()
+	}
+
+	addr, served := scriptedShardPeer(t, ProtocolVersion)
+	remote := dictRemote(t, addr, WireDict)
+	if got := remote.Types(); !reflect.DeepEqual(got, []string{"Scripted"}) || served.Load() != 1 {
+		t.Fatalf("v%d peer: types %v after %d served lines", ProtocolVersion, got, served.Load())
 	}
 }
 

@@ -1,10 +1,9 @@
 // Package lineconn is the pipelined line-correlated transport shared by
 // every client in the serving stack: the pooled gateway client
-// (gateway.Pool/FleetPool), the remote-shard client (iotssp.RemoteShard
-// and the replicated iotssp.ShardGroup) and the legacy single-connection
-// iotssp.Client all speak a JSON-lines protocol whose responses may
-// arrive out of order, and all of them used to carry their own copy of
-// the same subtle connection core. This package owns that core once.
+// (gateway.Pool/FleetPool) and the remote-shard client
+// (iotssp.RemoteShard and the replicated iotssp.ShardGroup) both speak
+// a JSON-lines protocol whose responses may arrive out of order. This
+// package owns that subtle connection core once.
 //
 // # The correlation contract
 //
@@ -49,7 +48,7 @@
 //
 // # Per-incarnation codec state and framed compression
 //
-// Wire protocol v4 makes connections stateful: both ends of one
+// The IoTSSP wire makes connections stateful: both ends of one
 // connection keep a fingerprint dictionary that must stay in lockstep,
 // and the residual line stream may travel as compressed frames. The
 // transport owns the lifecycle for both. Options.NewState builds a
@@ -136,9 +135,10 @@ type Stats struct {
 	HandshakeBytesWritten uint64 `json:"handshake_bytes_written,omitempty"`
 	HandshakeBytesRead    uint64 `json:"handshake_bytes_read,omitempty"`
 	PushBytesRead         uint64 `json:"push_bytes_read,omitempty"`
-	// DictHits/DictMisses count fingerprints the v4 dictionary codec
-	// sent as references-or-diffs versus in full; DictRefBytes the entry
-	// bytes of the reference forms. Zero on pre-v4 connections.
+	// DictHits/DictMisses count fingerprints the dictionary codec sent
+	// as references-or-diffs versus in full; DictRefBytes the entry
+	// bytes of the reference forms. Zero on connections without a
+	// dictionary.
 	DictHits     uint64 `json:"dict_hits,omitempty"`
 	DictMisses   uint64 `json:"dict_misses,omitempty"`
 	DictRefBytes uint64 `json:"dict_ref_bytes,omitempty"`
@@ -254,7 +254,7 @@ type Options[M Message] struct {
 	// Inbound, when non-nil, transforms every post-handshake response
 	// line on the read pump, in wire order, against the incarnation's
 	// codec state — the hook for stateful response codecs whose
-	// decode order must match the peer's encode order (v4 name
+	// decode order must match the peer's encode order (type-name
 	// interning). An error severs the connection. It runs on the pump
 	// goroutine: it must not block or call back into the Conn, and it
 	// is the only reader of whatever state fields it touches (encoders

@@ -70,37 +70,6 @@ func (p *workPool) fanOut(j runnable, wg *sync.WaitGroup, extra int) {
 	}
 }
 
-// treeVoteJob counts one sample's positive votes with the trees
-// partitioned into chunks handed out by cursor. Per-chunk counts are
-// integers accumulated with atomic adds — commutative, so the total is
-// bit-identical to the sequential count regardless of scheduling.
-type treeVoteJob struct {
-	f      *flatForest
-	x      []float64
-	chunk  int
-	n      int
-	cursor atomic.Int64
-	total  atomic.Int64
-	wg     sync.WaitGroup
-}
-
-var treeVoteJobPool = sync.Pool{New: func() any { return new(treeVoteJob) }}
-
-func (j *treeVoteJob) run() {
-	for {
-		c := int(j.cursor.Add(1)) - 1
-		lo := c * j.chunk
-		if lo >= j.n {
-			return
-		}
-		hi := lo + j.chunk
-		if hi > j.n {
-			hi = j.n
-		}
-		j.total.Add(int64(j.f.votesRange(j.x, lo, hi)))
-	}
-}
-
 // voteJob fills a votes matrix for one ForestSet × SampleMatrix pass.
 // The tile index space (forest blocks × sample blocks) is handed out by
 // cursor; tiles touching the same sample are confined to one forest
