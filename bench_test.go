@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"net"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -498,6 +499,39 @@ func BenchmarkThroughputFleetPool(b *testing.B) {
 	if st := pool.Counters(); st.Failures > 0 {
 		b.Fatalf("fleet pool failures during bench: %+v", st)
 	}
+}
+
+// BenchmarkServerRoundTrip measures one warm-cache verdict through the
+// dispatcher: a sequential gateway.Pool.Identify against an
+// iotssp.Server on loopback, one request in flight at a time. With
+// nothing else queued, each op is a lone flush, so ns/op is the
+// dispatcher's added latency plus the loopback round trip.
+func BenchmarkServerRoundTrip(b *testing.B) {
+	fx := getFixture(b)
+	svc := iotssp.NewService(fx.bank, iotssp.ServiceConfig{DB: vulndb.Seeded()})
+	srv := iotssp.NewServer(svc, iotssp.ServerConfig{})
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go srv.Serve(lis)
+	defer srv.Close()
+	pool := gateway.NewPool(lis.Addr().String(), gateway.PoolConfig{Conns: 1})
+	defer pool.Close()
+
+	const mac = "02:bd:00:00:00:01"
+	fp := fx.probes[0]
+	if _, err := pool.Identify(context.Background(), mac, fp); err != nil {
+		b.Fatal(err) // warm the cache and the connection
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pool.Identify(context.Background(), mac, fp); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
 // --- Operational micro-benchmarks ---------------------------------------

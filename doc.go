@@ -31,9 +31,9 @@
 //
 // The IoT Security Service itself is built for multi-gateway load. The
 // iotssp.Server runs a bounded accept loop with a read and a write pump
-// per connection; a micro-batching dispatcher aggregates requests
-// across every connection and flushes them into the bank's
-// IdentifyBatch on a size threshold or a small time budget, answering
+// per connection; a work-conserving dispatcher flushes whatever is
+// queued across every connection (up to a size cap) into the bank's
+// IdentifyBatch without waiting for a batch to fill, answering
 // overload with retryable backpressure responses instead of unbounded
 // queues. Verdicts are cached in an LRU keyed by the canonical
 // fingerprint hash (fingerprint.Hash), with singleflight collapsing of

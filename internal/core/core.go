@@ -188,6 +188,10 @@ type Bank struct {
 	// entries by it so enrolling a new type invalidates every verdict
 	// computed against the smaller bank.
 	version atomic.Uint64
+	// versions caches the one-element Versions vector of the current
+	// version, so a verdict flush's snapshot allocates only after an
+	// enrolment has moved the version.
+	versions atomic.Pointer[[1]uint64]
 
 	// enrolls counts classifier trainings (guarded by rw alongside
 	// types). Each training derives its negative-sampling and forest
@@ -374,9 +378,16 @@ func (b *Bank) Version() uint64 {
 // degenerate single-shard bank, so the vector has one element —
 // Version() itself. Verdict caches that understand shard-scoped
 // invalidation (the IoT Security Service's) work off this vector; with
-// one shard it reduces exactly to the global-version semantics.
+// one shard it reduces exactly to the global-version semantics. The
+// returned slice is shared: callers must not modify it.
 func (b *Bank) Versions() []uint64 {
-	return []uint64{b.version.Load()}
+	v := b.version.Load()
+	p := b.versions.Load()
+	if p == nil || p[0] != v {
+		p = &[1]uint64{v}
+		b.versions.Store(p)
+	}
+	return p[:]
 }
 
 // ShardOf reports which shard owns an enrolled device-type. A plain

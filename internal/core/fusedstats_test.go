@@ -76,6 +76,18 @@ func TestBankShardSurface(t *testing.T) {
 	if _, ok := b.ShardOf("ghost"); ok {
 		t.Error("ShardOf(ghost) reported an unenrolled type")
 	}
+	// The vector is cached between enrolments: an enrolment must yield
+	// a fresh vector and leave the one handed out before untouched.
+	before := b.Versions()
+	if err := b.Enroll("hubC", synthType(300, 12, rand.New(rand.NewSource(5)))); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Versions(); !reflect.DeepEqual(got, []uint64{b.Version()}) || got[0] != before[0]+1 {
+		t.Errorf("after Enroll: Versions() = %v, before %v, Version() = %d", got, before, b.Version())
+	}
+	if before[0] != b.Version()-1 {
+		t.Errorf("held vector changed to %v by Enroll", before)
+	}
 }
 
 // TestIdentifyEditOnly: the classifier-free path answers from edit

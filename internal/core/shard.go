@@ -135,6 +135,10 @@ type ShardedBank struct {
 	// reserved blocks duplicate concurrent enrolments of one name while
 	// its shard trains outside mu.
 	reserved map[string]struct{}
+
+	// versions caches the last Versions vector; it is rebuilt only when
+	// a shard's version has moved.
+	versions atomic.Pointer[[]uint64]
 }
 
 // NewShardedBank creates an empty bank of n shards (n < 1 selects 1).
@@ -325,13 +329,31 @@ func (sb *ShardedBank) SetOwner(name string, dst int) error {
 // on that shard and keep serving the rest. The snapshot is not atomic
 // across shards — a concurrent Enroll may be visible in one element
 // and not another — which is safe for staleness detection because
-// versions only grow.
+// versions only grow. The returned slice is shared: callers must not
+// modify it.
 func (sb *ShardedBank) Versions() []uint64 {
+	if p := sb.versions.Load(); p != nil && sb.current(*p) {
+		return *p
+	}
 	out := make([]uint64, len(sb.shards))
 	for i, shard := range sb.shards {
 		out[i] = shard.Version()
 	}
+	sb.versions.Store(&out)
 	return out
+}
+
+// current reports whether vs still matches every shard's version.
+func (sb *ShardedBank) current(vs []uint64) bool {
+	if len(vs) != len(sb.shards) {
+		return false
+	}
+	for i, shard := range sb.shards {
+		if vs[i] != shard.Version() {
+			return false
+		}
+	}
+	return true
 }
 
 // Version returns the total enrolment count across shards (the sum of

@@ -35,16 +35,18 @@
 //
 // The Server runs a bounded accept loop (at most MaxConns live
 // connections) with one read pump and one write pump per connection. A
-// micro-batching dispatcher aggregates decoded requests across all
-// connections and flushes them into the bank's IdentifyBatch when the
-// batch reaches BatchSize or FlushInterval elapses, whichever is first
-// — so one busy gateway or many idle ones both see low latency, and
-// the service amortizes forest inference across the fleet. Served from
-// a core.ShardedBank, each flush scatters across the bank's shards
-// concurrently and gathers the merged verdicts. Duplicate in-flight
-// fingerprints collapse to a single computation (singleflight); repeat
-// setups of the same device model — the common fleet pattern — cost
-// one cache probe instead of a forest pass.
+// work-conserving dispatcher aggregates decoded requests across all
+// connections: it takes whatever is queued, up to BatchSize, and
+// flushes it into the bank's IdentifyBatch at once. It never waits for
+// a batch to fill, so an idle server answers a lone request
+// immediately, while under load the requests that queue during one
+// flush form the next batch and the service amortizes forest inference
+// across the fleet. Served from a core.ShardedBank, each flush scatters
+// across the bank's shards concurrently and gathers the merged
+// verdicts. Duplicate in-flight fingerprints collapse to a single
+// computation (singleflight); repeat setups of the same device model —
+// the common fleet pattern — cost one cache probe instead of a forest
+// pass.
 //
 // # Shard-versioned verdict cache
 //
@@ -573,8 +575,10 @@ func (s *Service) IdentifyBatch(macs []string, fps []*fingerprint.Fingerprint, w
 		fp  *fingerprint.Fingerprint
 		f   *flight
 	}
+	// byKey is built only when the first leader appears: an all-hit
+	// flush, the common case, skips the map setup.
 	var leads []*lead
-	byKey := make(map[uint64]*lead)
+	var byKey map[uint64]*lead
 	var waits []waiter
 	for i, fp := range fps {
 		key := fp.Hash()
@@ -592,6 +596,9 @@ func (s *Service) IdentifyBatch(macs []string, fps []*fingerprint.Fingerprint, w
 			waits = append(waits, waiter{idx: i, fp: fp, f: f})
 		default: // beginLeader
 			l := &lead{key: key, fp: fp, f: f, idxs: []int{i}}
+			if byKey == nil {
+				byKey = make(map[uint64]*lead)
+			}
 			byKey[key] = l
 			leads = append(leads, l)
 		}

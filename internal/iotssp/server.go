@@ -24,14 +24,11 @@ type ServerConfig struct {
 	// attempts beyond it are answered with a retryable error response
 	// and closed. 0 selects 256.
 	MaxConns int
-	// BatchSize is the dispatcher's flush threshold: a batch is handed
-	// to Bank.IdentifyBatch as soon as it holds this many requests.
-	// 1 disables micro-batching (every request is identified alone —
-	// the per-request baseline). 0 selects 32.
+	// BatchSize caps one dispatcher flush: the dispatcher hands at most
+	// this many queued requests to Bank.IdentifyBatch at once. It never
+	// waits for a batch to fill. 1 disables micro-batching (every request
+	// is identified alone — the per-request baseline). 0 selects 32.
 	BatchSize int
-	// FlushInterval is the longest a pending request waits for the
-	// batch to fill before the dispatcher flushes anyway. 0 selects 2ms.
-	FlushInterval time.Duration
 	// QueueCapacity bounds the dispatcher's request queue, summed across
 	// all connections. A request arriving with the queue full is
 	// answered with a retryable "overloaded" error instead of growing an
@@ -52,9 +49,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 2 * time.Millisecond
 	}
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = 1024
@@ -151,6 +145,10 @@ type Server struct {
 	cfg   ServerConfig
 
 	queue chan dispatchItem
+	// flushMACs and flushFPs are processBatch's argument scratch, reused
+	// across flushes; only the dispatcher goroutine touches them.
+	flushMACs []string
+	flushFPs  []*fingerprint.Fingerprint
 	// enrollSem bounds concurrent shard-mode enrolments (nil in verdict
 	// mode).
 	enrollSem chan struct{}
@@ -485,15 +483,13 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// dispatch is the micro-batching loop: it blocks for the first pending
-// request, then fills the batch until BatchSize requests are aggregated
-// or FlushInterval elapses, and flushes through the service.
+// dispatch is the work-conserving batching loop: it blocks for the
+// first pending request, drains without blocking whatever else is
+// already queued (up to BatchSize), and flushes at once. Batches form
+// from the requests that queue while the previous flush runs; a request
+// reaching an idle server never waits for company.
 func (s *Server) dispatch() {
 	defer s.dwg.Done()
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	batch := make([]dispatchItem, 0, s.cfg.BatchSize)
 	for {
 		first, ok := <-s.queue
@@ -501,25 +497,18 @@ func (s *Server) dispatch() {
 			return
 		}
 		batch = append(batch[:0], first)
-		timer.Reset(s.cfg.FlushInterval)
 		open := true
-	fill:
+	drain:
 		for len(batch) < s.cfg.BatchSize {
 			select {
 			case item, more := <-s.queue:
 				if !more {
 					open = false
-					break fill
+					break drain
 				}
 				batch = append(batch, item)
-			case <-timer.C:
-				break fill
-			}
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
 			default:
+				break drain
 			}
 		}
 		s.processBatch(batch)
@@ -540,13 +529,12 @@ func (s *Server) processBatch(batch []dispatchItem) {
 			break
 		}
 	}
-	macs := make([]string, len(batch))
-	fps := make([]*fingerprint.Fingerprint, len(batch))
-	for i, item := range batch {
-		macs[i] = item.mac
-		fps[i] = item.fp
+	s.flushMACs, s.flushFPs = s.flushMACs[:0], s.flushFPs[:0]
+	for _, item := range batch {
+		s.flushMACs = append(s.flushMACs, item.mac)
+		s.flushFPs = append(s.flushFPs, item.fp)
 	}
-	resps := s.svc.IdentifyBatch(macs, fps, s.cfg.Workers)
+	resps := s.svc.IdentifyBatch(s.flushMACs, s.flushFPs, s.cfg.Workers)
 	for i, item := range batch {
 		resps[i].Line = item.line
 		item.out.send(resps[i])

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fingerprint"
 )
 
@@ -104,47 +106,112 @@ func TestServerMalformedLinesKeepConnectionAlive(t *testing.T) {
 	}
 }
 
-// TestServerBatchesAcrossConnections drives eight one-shot clients
-// concurrently against a BatchSize-4 server with a generous flush
-// budget: the dispatcher must aggregate requests from different
-// connections into shared flushes.
-func TestServerBatchesAcrossConnections(t *testing.T) {
-	svc, ds := testService(t)
-	srv, addr := startServer(t, svc, ServerConfig{
-		BatchSize:     4,
-		FlushInterval: 500 * time.Millisecond,
-	})
+// gatedBank holds the first IdentifyBatch until gate closes and records
+// every flush's size, so a test can queue requests behind a flush in
+// progress and see exactly how the dispatcher batches them.
+type gatedBank struct {
+	Bank
+	entered chan struct{} // closed when the first IdentifyBatch starts
+	gate    chan struct{} // the first IdentifyBatch proceeds once closed
+	once    sync.Once
 
-	const clients = 8
+	mu    sync.Mutex
+	sizes []int
+}
+
+func (g *gatedBank) IdentifyBatch(fps []*fingerprint.Fingerprint, workers int) []core.Result {
+	g.mu.Lock()
+	g.sizes = append(g.sizes, len(fps))
+	g.mu.Unlock()
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.gate
+	})
+	return g.Bank.IdentifyBatch(fps, workers)
+}
+
+// queueBehindGate serves an uncached service over a gatedBank with the
+// given BatchSize. One client's request is held inside the first flush
+// while n more clients, each on its own connection, send theirs; once
+// all n are queued the gate opens. It returns the server's counters
+// and the size of every flush after every client has its verdict.
+func queueBehindGate(t *testing.T, batchSize, n int) (ServerStats, []int) {
+	t.Helper()
+	base, ds := testService(t)
+	gb := &gatedBank{Bank: base.bank, entered: make(chan struct{}), gate: make(chan struct{})}
+	srv, addr := startServer(t, NewService(gb, ServiceConfig{DB: base.db, CacheSize: -1}), ServerConfig{BatchSize: batchSize})
+
 	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := newTestClient(addr)
-			defer c.Close()
-			mac := fmt.Sprintf("02:00:00:00:01:%02x", i)
-			resp, err := c.Identify(context.Background(), mac, ds["Aria"][i%len(ds["Aria"])])
-			if err != nil {
-				t.Errorf("client %d: %v", i, err)
-				return
-			}
-			if resp.MAC != mac {
-				t.Errorf("client %d: MAC echo %q", i, resp.MAC)
-			}
-		}(i)
+	identify := func(i int) {
+		defer wg.Done()
+		c := newTestClient(addr)
+		defer c.Close()
+		mac := fmt.Sprintf("02:00:00:00:01:%02x", i)
+		resp, err := c.Identify(context.Background(), mac, ds["Aria"][i%len(ds["Aria"])])
+		if err != nil {
+			t.Errorf("client %d: %v", i, err)
+			return
+		}
+		if resp.MAC != mac {
+			t.Errorf("client %d: MAC echo %q", i, resp.MAC)
+		}
 	}
+	wg.Add(1)
+	go identify(0)
+	select {
+	case <-gb.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("first flush never reached the bank")
+	}
+	for i := 1; i <= n; i++ {
+		wg.Add(1)
+		go identify(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Counters().Requests < uint64(n+1) {
+		if time.Now().After(deadline) {
+			close(gb.gate)
+			t.Fatalf("only %d of %d requests queued", srv.Counters().Requests, n+1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gb.gate)
 	wg.Wait()
 
-	st := srv.Counters()
-	if st.Requests != clients {
-		t.Fatalf("requests = %d, want %d", st.Requests, clients)
+	gb.mu.Lock()
+	defer gb.mu.Unlock()
+	return srv.Counters(), append([]int(nil), gb.sizes...)
+}
+
+// TestServerBatchesAcrossConnections queues eight requests from eight
+// connections while a flush is in progress: the dispatcher must hand
+// all eight to the bank in the next flush, without any timer.
+func TestServerBatchesAcrossConnections(t *testing.T) {
+	const clients = 8
+	st, sizes := queueBehindGate(t, 32, clients)
+	if st.Requests != clients+1 || st.ConnsAccepted != clients+1 {
+		t.Fatalf("requests = %d, conns = %d, want %d each", st.Requests, st.ConnsAccepted, clients+1)
 	}
-	if st.MaxBatch < 4 {
-		t.Errorf("max batch = %d, want >= 4 (batches=%d, mean=%.1f)", st.MaxBatch, st.Batches, st.MeanBatch())
+	if st.Batches != 2 || st.MaxBatch != clients {
+		t.Errorf("batches = %d, max batch = %d, want 2 and %d (flush sizes %v)", st.Batches, st.MaxBatch, clients, sizes)
 	}
-	if st.ConnsAccepted != clients {
-		t.Errorf("conns accepted = %d", st.ConnsAccepted)
+	if !slices.Equal(sizes, []int{1, clients}) {
+		t.Errorf("flush sizes = %v, want [1 %d]", sizes, clients)
+	}
+}
+
+// TestServerBatchSizeCapsFlush queues ten requests behind a held flush
+// on a BatchSize-4 server: they must drain in flushes of at most four.
+func TestServerBatchSizeCapsFlush(t *testing.T) {
+	st, sizes := queueBehindGate(t, 4, 10)
+	if st.Requests != 11 {
+		t.Fatalf("requests = %d, want 11", st.Requests)
+	}
+	if want := []int{1, 4, 4, 2}; !slices.Equal(sizes, want) {
+		t.Errorf("flush sizes = %v, want %v", sizes, want)
+	}
+	if st.Batches != 4 || st.MaxBatch != 4 {
+		t.Errorf("batches = %d, max batch = %d, want 4 and 4", st.Batches, st.MaxBatch)
 	}
 }
 
@@ -279,7 +346,7 @@ func TestServerConnectionLimit(t *testing.T) {
 // matched to its request by MAC and line, whatever the arrival order.
 func TestServerOutOfOrderResponsesCarryCorrelation(t *testing.T) {
 	svc, ds := testService(t)
-	_, addr := startServer(t, svc, ServerConfig{BatchSize: 4, FlushInterval: 20 * time.Millisecond})
+	_, addr := startServer(t, svc, ServerConfig{BatchSize: 4})
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
