@@ -566,6 +566,29 @@ func BenchmarkEnroll(b *testing.B) {
 	}
 }
 
+// BenchmarkTrain measures training the benchmark's 27-type bank from
+// scratch: the 27×20 corpus of GenerateDataset(DefaultEnv(), 1, 20),
+// 100-tree forests, 10·n negatives — the set-up the repository
+// benchmark times as core.train_s, and the cost Enroll, MigrateType and
+// history replay pay per type.
+func BenchmarkTrain(b *testing.B) {
+	corpus, err := devices.GenerateDataset(devices.DefaultEnv(), 1, 20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.Default()
+	cfg.Seed = 1
+	cfg.Forest.Seed = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Train(cfg, corpus); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(corpus)*b.N)/b.Elapsed().Seconds(), "types/s")
+}
+
 // BenchmarkDatasetGeneration measures producing the full 27×20 corpus.
 func BenchmarkDatasetGeneration(b *testing.B) {
 	env := devices.DefaultEnv()
