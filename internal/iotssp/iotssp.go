@@ -432,8 +432,10 @@ type Service struct {
 // defaults: no vulnerability repository, no per-type endpoints, and the
 // default verdict cache.
 type ServiceConfig struct {
-	// DB is the vulnerability repository consulted per verdict; nil
-	// serves without one.
+	// DB is the vulnerability repository consulted per verdict. nil
+	// serves without one and means "no advisories": an identified type
+	// is assessed as known and advisory-free (Trusted), and an
+	// unidentified device stays Strict.
 	DB *vulndb.DB
 	// Endpoints maps device-type to the permitted cloud endpoints used
 	// for the Restricted level.
@@ -526,7 +528,10 @@ func (s *Service) assemble(res core.Result) Response {
 		return resp
 	}
 	resp.DeviceType = res.Type
-	assessment := s.db.Assess(res.Type)
+	assessment := vulndb.Assessment{DeviceType: res.Type, Known: true}
+	if s.db != nil {
+		assessment = s.db.Assess(res.Type)
+	}
 	level := assessment.Level()
 	resp.Level = level.String()
 	if level == enforce.Restricted {

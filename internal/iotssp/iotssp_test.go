@@ -107,6 +107,39 @@ func TestHandleUnknownDevice(t *testing.T) {
 	}
 }
 
+// TestServiceWithoutDB: a Service assembled with the zero ServiceConfig
+// has no vulnerability repository and treats that as "no advisories":
+// an identified type is Trusted with no advisories or notification, an
+// unidentified device stays Strict.
+func TestServiceWithoutDB(t *testing.T) {
+	seeded, ds := testService(t)
+	svc := NewService(seeded.Bank(), ServiceConfig{})
+	// EdimaxCam is Restricted under the seeded repository.
+	resp := svc.Identify("02:00:00:00:00:99", ds["EdimaxCam"][0])
+	if resp.Error != "" {
+		t.Fatalf("Identify error: %s", resp.Error)
+	}
+	if !resp.Known || resp.DeviceType != "EdimaxCam" {
+		t.Fatalf("identified as %q (known=%v), want EdimaxCam", resp.DeviceType, resp.Known)
+	}
+	if resp.Level != enforce.Trusted.String() || len(resp.Vulnerabilities) != 0 || resp.NotifyUser {
+		t.Errorf("known verdict without a DB = level %s, vulns %v, notify %v; want trusted, none, false",
+			resp.Level, resp.Vulnerabilities, resp.NotifyUser)
+	}
+
+	traces, err := devices.GenerateRuns("D-LinkCam", devices.DefaultEnv(), 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp = svc.Identify("02:00:00:00:00:9a", traces[0].Fingerprint())
+	if resp.Error != "" {
+		t.Fatalf("Identify error: %s", resp.Error)
+	}
+	if resp.Known || resp.Level != enforce.Strict.String() {
+		t.Errorf("unknown verdict without a DB = known %v level %s, want unknown strict", resp.Known, resp.Level)
+	}
+}
+
 // TestHandleMalformedFingerprint: a report whose vectors have the wrong
 // dimensionality is rejected by the decoder every server read pump
 // runs, and a server answers it with a non-retryable error naming the

@@ -6,6 +6,19 @@
 // randomness (bootstrap sampling, per-node feature subsampling, fold
 // shuffling) flows from explicitly seeded generators, so training is
 // bit-for-bit reproducible.
+//
+// Split search counts instead of sorting. NewForest rank-encodes its
+// dataset once: per feature, each row's rank among the column's distinct
+// values plus those values in ascending order. Every tree of the forest
+// grows over its bootstrap row indices into that one dataset, and a
+// node tallies rows and positives per rank for each candidate feature,
+// then sweeps the non-empty ranks in order. The sweep meets the same
+// boundaries, with the same counts, as sorting the node's values would,
+// so the Gini arithmetic, the strict tie rule and the thresholds
+// (midpoints of adjacent distinct values present in the node) are those
+// of a sort-based search; the per-node feature order makes rand.Perm's
+// exact draws into a reused buffer, so the rng stream is rand.Perm's
+// too. The package tests keep a sort-based builder as the oracle.
 package ml
 
 import (
@@ -52,27 +65,6 @@ func (d *Dataset) Features() int {
 		return 0
 	}
 	return len(d.X[0])
-}
-
-// Subset returns a view of the dataset restricted to the given row
-// indices. Rows are shared with the parent.
-func (d *Dataset) Subset(idx []int) *Dataset {
-	x := make([][]float64, len(idx))
-	y := make([]int, len(idx))
-	for i, j := range idx {
-		x[i] = d.X[j]
-		y[i] = d.Y[j]
-	}
-	return &Dataset{X: x, Y: y}
-}
-
-// bootstrap draws n row indices with replacement.
-func bootstrap(n int, rng *rand.Rand) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = rng.Intn(n)
-	}
-	return idx
 }
 
 // SampleWithoutReplacement draws k distinct values from [0,n) using a

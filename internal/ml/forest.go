@@ -49,12 +49,23 @@ func NewForest(ds *Dataset, cfg ForestConfig) (*Forest, error) {
 	}
 	master := rand.New(rand.NewSource(cfg.Seed))
 	f := &Forest{trees: make([]*Tree, nTrees)}
+	// Every tree grows over rows of ds itself, through one rank index
+	// and one bootstrap buffer.
+	b := newTreeBuilder(ds, cfg.Tree)
+	n := ds.Len()
+	sample := make([]int32, n)
+	rng := rand.New(rand.NewSource(0))
 	for i := range f.trees {
 		// Derive one generator per tree from the master stream so tree
 		// training is independent of the others' consumption pattern.
-		rng := rand.New(rand.NewSource(master.Int63()))
-		sample := ds.Subset(bootstrap(ds.Len(), rng))
-		f.trees[i] = NewTree(sample, cfg.Tree, rng)
+		// Re-seeding one source leaves it in the state a new source of
+		// that seed starts in.
+		rng.Seed(master.Int63())
+		// Bootstrap: n rows drawn with replacement.
+		for j := range sample {
+			sample[j] = int32(rng.Intn(n))
+		}
+		f.trees[i] = b.build(sample, rng)
 	}
 	f.flat = flatten(f.trees, cfg.Flat)
 	return f, nil

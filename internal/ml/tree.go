@@ -1,9 +1,10 @@
 package ml
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // TreeConfig controls CART induction.
@@ -34,8 +35,85 @@ type Tree struct {
 }
 
 // NewTree induces a CART tree on ds using Gini impurity. rng drives the
-// per-node feature subsampling.
+// per-node feature subsampling. It rank-encodes ds for this one tree;
+// NewForest shares one encoding across all of its trees.
 func NewTree(ds *Dataset, cfg TreeConfig, rng *rand.Rand) *Tree {
+	b := newTreeBuilder(ds, cfg)
+	idx := make([]int32, ds.Len())
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return b.build(idx, rng)
+}
+
+// rankIndex rank-encodes a dataset once so every tree grown on it can
+// search splits by counting instead of sorting. rank[f][row] is the
+// position of X[row][f] among the distinct values of column f, and
+// vals[f] holds those distinct values in ascending order, so
+// vals[f][rank[f][row]] == X[row][f]. Features must not be NaN: a NaN
+// takes a rank of its own, and splits on its column are unspecified.
+type rankIndex struct {
+	rank [][]int32
+	vals [][]float64
+	// widest is the largest number of distinct values in any column:
+	// the length of the per-rank count scratch.
+	widest int
+}
+
+func newRankIndex(ds *Dataset) *rankIndex {
+	n, d := ds.Len(), ds.Features()
+	ix := &rankIndex{rank: make([][]int32, d), vals: make([][]float64, d)}
+	ranks := make([]int32, n*d)
+	var distinct []float64 // every column's distinct values, end to end
+	ends := make([]int, d)
+	type valRow struct {
+		v   float64
+		row int32
+	}
+	col := make([]valRow, n)
+	for f := 0; f < d; f++ {
+		for row := range col {
+			col[row] = valRow{ds.X[row][f], int32(row)}
+		}
+		slices.SortFunc(col, func(a, b valRow) int { return cmp.Compare(a.v, b.v) })
+		rank := ranks[f*n : (f+1)*n : (f+1)*n]
+		start := len(distinct)
+		for k, e := range col {
+			// Distinctness is the split sweep's == test, so -0 and +0
+			// share a rank.
+			if k == 0 || e.v != distinct[len(distinct)-1] {
+				distinct = append(distinct, e.v)
+			}
+			rank[e.row] = int32(len(distinct) - start - 1)
+		}
+		ix.rank[f], ends[f] = rank, len(distinct)
+		ix.widest = max(ix.widest, len(distinct)-start)
+	}
+	start := 0
+	for f, end := range ends {
+		ix.vals[f] = distinct[start:end:end]
+		start = end
+	}
+	return ix
+}
+
+// treeBuilder grows trees over one rank-indexed dataset. Its scratch
+// (the feature permutation and the per-rank counts) is reused by every
+// node of every tree it builds.
+type treeBuilder struct {
+	ds       *Dataset
+	ix       *rankIndex
+	mtry     int
+	minLeaf  int
+	maxDepth int
+	rng      *rand.Rand
+	tree     *Tree
+	perm     []int
+	cnt      []int // rows per rank; all zero between bestSplit calls
+	posCnt   []int // positives per rank; all zero between bestSplit calls
+}
+
+func newTreeBuilder(ds *Dataset, cfg TreeConfig) *treeBuilder {
 	mtry := cfg.MTry
 	if mtry <= 0 {
 		mtry = int(math.Sqrt(float64(ds.Features())))
@@ -43,27 +121,31 @@ func NewTree(ds *Dataset, cfg TreeConfig, rng *rand.Rand) *Tree {
 			mtry = 1
 		}
 	}
-	b := &treeBuilder{ds: ds, cfg: cfg, mtry: mtry, rng: rng}
-	idx := make([]int, ds.Len())
-	for i := range idx {
-		idx[i] = i
+	ix := newRankIndex(ds)
+	return &treeBuilder{
+		ds:       ds,
+		ix:       ix,
+		mtry:     mtry,
+		minLeaf:  max(cfg.MinSamplesLeaf, 1),
+		maxDepth: cfg.MaxDepth,
+		perm:     make([]int, ds.Features()),
+		cnt:      make([]int, ix.widest),
+		posCnt:   make([]int, ix.widest),
 	}
+}
+
+// build grows one tree over the dataset rows idx (a bootstrap sample may
+// repeat rows). idx is reordered in place.
+func (b *treeBuilder) build(idx []int32, rng *rand.Rand) *Tree {
 	t := &Tree{}
-	b.tree = t
+	b.tree, b.rng = t, rng
 	b.grow(idx, 0)
 	return t
 }
 
-type treeBuilder struct {
-	ds   *Dataset
-	cfg  TreeConfig
-	mtry int
-	rng  *rand.Rand
-	tree *Tree
-}
-
-// grow builds the subtree over rows idx and returns its node index.
-func (b *treeBuilder) grow(idx []int, depth int) int32 {
+// grow builds the subtree over rows idx and returns its node index. It
+// partitions idx in place, so the children recurse on its two halves.
+func (b *treeBuilder) grow(idx []int32, depth int) int32 {
 	pos := 0
 	for _, i := range idx {
 		pos += b.ds.Y[i]
@@ -75,35 +157,34 @@ func (b *treeBuilder) grow(idx []int, depth int) int32 {
 	if pos == 0 || pos == n {
 		return id // pure
 	}
-	if b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth {
+	if b.maxDepth > 0 && depth >= b.maxDepth {
 		return id
 	}
-	minLeaf := b.cfg.MinSamplesLeaf
-	if minLeaf < 1 {
-		minLeaf = 1
-	}
-	if n < 2*minLeaf {
+	if n < 2*b.minLeaf {
 		return id
 	}
 
-	feat, thr, ok := b.bestSplit(idx, pos, minLeaf)
+	feat, thr, ok := b.bestSplit(idx, pos)
 	if !ok {
 		return id
 	}
 
-	left := make([]int, 0, n)
-	right := make([]int, 0, n)
-	for _, i := range idx {
-		if b.ds.X[i][feat] <= thr {
-			left = append(left, i)
+	// The partition compares values against the threshold exactly as
+	// prediction does, so a row's training side and its serving side can
+	// never disagree.
+	split, j := 0, n
+	for split < j {
+		if b.ds.X[idx[split]][feat] <= thr {
+			split++
 		} else {
-			right = append(right, i)
+			j--
+			idx[split], idx[j] = idx[j], idx[split]
 		}
 	}
 	// Recurse; children are appended after this node so the indices are
 	// assigned by the recursive calls.
-	l := b.grow(left, depth+1)
-	r := b.grow(right, depth+1)
+	l := b.grow(idx[:split], depth+1)
+	r := b.grow(idx[split:], depth+1)
 	nd := &b.tree.nodes[id]
 	nd.feature = feat
 	nd.threshold = thr
@@ -119,50 +200,77 @@ func (b *treeBuilder) grow(idx []int, depth int) int32 {
 // fingerprint vectors routinely make a 16-feature sample all-constant
 // within a node), declaring a leaf only when no feature splits the node.
 // pos is the positive count over idx.
-func (b *treeBuilder) bestSplit(idx []int, pos, minLeaf int) (feature int, threshold float64, ok bool) {
+//
+// The search counts instead of sorting. For a candidate feature it finds
+// the node's rank range [lo, hi] (lo == hi: constant here, no split),
+// tallies rows and positives per rank, and sweeps the non-empty ranks in
+// ascending order. That visits exactly the boundaries a sort of the
+// node's values would — between each pair of adjacent distinct values
+// present in the node — with the same left/right counts, so the same
+// Gini arithmetic, the same strict < tie rule and the same threshold
+// (the midpoint of those two values) pick the same split. The feature
+// order is a reused buffer filled with rand.Perm's own Intn(i+1) draws,
+// so the rng stream, and with it every later node and tree, is the one
+// rand.Perm would leave.
+func (b *treeBuilder) bestSplit(idx []int32, pos int) (feature int, threshold float64, ok bool) {
 	n := len(idx)
 	bestGini := math.Inf(1)
 	parentGini := giniImpurity(pos, n)
 
-	type valLabel struct {
-		v float64
-		y int
+	perm := b.perm
+	for i := range perm {
+		j := b.rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
 	}
-	vals := make([]valLabel, n)
-
-	perm := b.rng.Perm(b.ds.Features())
 	for tried, f := range perm {
 		// Stop after the mtry quota once a usable split exists.
 		if tried >= b.mtry && ok {
 			break
 		}
-		for i, row := range idx {
-			vals[i] = valLabel{v: b.ds.X[row][f], y: b.ds.Y[row]}
+		rank := b.ix.rank[f]
+		lo, hi := rank[idx[0]], rank[idx[0]]
+		for _, row := range idx[1:] {
+			r := rank[row]
+			lo, hi = min(lo, r), max(hi, r)
 		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i].v < vals[j].v })
+		if lo == hi {
+			continue
+		}
+		cnt, posCnt := b.cnt[:hi-lo+1], b.posCnt[:hi-lo+1]
+		for _, row := range idx {
+			r := rank[row] - lo
+			cnt[r]++
+			posCnt[r] += b.ds.Y[row]
+		}
+		vals := b.ix.vals[f][lo : hi+1]
 
-		// Sweep split points between distinct consecutive values.
-		leftN, leftPos := 0, 0
-		for i := 0; i < n-1; i++ {
-			leftN++
-			leftPos += vals[i].y
-			if vals[i].v == vals[i+1].v {
+		// Sweep split points between adjacent distinct values, zeroing
+		// the counts behind the sweep for the next feature.
+		leftN, leftPos, prev := 0, 0, -1
+		for r, c := range cnt {
+			if c == 0 {
 				continue
 			}
-			rightN := n - leftN
-			if leftN < minLeaf || rightN < minLeaf {
-				continue
+			if prev >= 0 {
+				rightN := n - leftN
+				if leftN >= b.minLeaf && rightN >= b.minLeaf {
+					rightPos := pos - leftPos
+					g := (float64(leftN)*giniImpurity(leftPos, leftN) +
+						float64(rightN)*giniImpurity(rightPos, rightN)) / float64(n)
+					// Only impurity-decreasing splits are valid.
+					if g < bestGini && g < parentGini {
+						bestGini = g
+						feature = f
+						threshold = (vals[prev] + vals[r]) / 2
+						ok = true
+					}
+				}
 			}
-			rightPos := pos - leftPos
-			g := (float64(leftN)*giniImpurity(leftPos, leftN) +
-				float64(rightN)*giniImpurity(rightPos, rightN)) / float64(n)
-			// Only impurity-decreasing splits are valid.
-			if g < bestGini && g < parentGini {
-				bestGini = g
-				feature = f
-				threshold = (vals[i].v + vals[i+1].v) / 2
-				ok = true
-			}
+			leftN += c
+			leftPos += posCnt[r]
+			cnt[r], posCnt[r] = 0, 0
+			prev = r
 		}
 	}
 	return feature, threshold, ok
